@@ -1,47 +1,15 @@
-//! Criterion benches: serial vs parallel timed driver on one kernel and
-//! on a suite slice — the wall-clock side of the `sim_threads` knob
-//! (results are bit-identical by construction; see the determinism
-//! integration test) — plus event-driven fast-forward on/off on a
-//! memory-starved config, the wall-clock side of the
-//! `GpuConfig::event_driven` knob (same bit-identity contract).
+//! Criterion bench: the event-driven wake calendar on and off on a
+//! memory-starved config — the wall-clock side of the
+//! `GpuConfig::event_driven` knob (results are bit-identical by
+//! construction; see the determinism integration test).
 //!
-//! On a multi-core runner `timed/threads2+` should beat `timed/threads1`
-//! once the kernel has enough resident blocks to spread across SMs; on a
-//! single-core machine the barrier overhead makes them comparable.
 //! `event_driven/on` should beat `event_driven/off` by several × on the
 //! starved config: most SMs spend most cycles parked on in-flight fills
 //! with exact wake hints, which is exactly what the calendar skips.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use st2::prelude::*;
-use st2_bench::timed_suite_filtered;
 use std::hint::black_box;
-
-fn bench_parallel_driver(c: &mut Criterion) {
-    let spec = st2::kernels::pathfinder::build(Scale::Test);
-    let mut group = c.benchmark_group("parallel_driver");
-    group.sample_size(10);
-
-    for threads in [1u32, 2, 4] {
-        let cfg = GpuConfig::scaled(4).with_st2().with_sim_threads(threads);
-        group.bench_function(format!("timed/threads{threads}"), |b| {
-            b.iter(|| {
-                let mut mem = spec.memory.clone();
-                black_box(run_timed(&spec.program, spec.launch, &mut mem, &cfg))
-            });
-        });
-    }
-
-    // A suite slice end-to-end (already thread-per-kernel; per-run
-    // workers compose with it).
-    for threads in [1u32, 2] {
-        let cfg = GpuConfig::scaled(4).with_sim_threads(threads);
-        group.bench_function(format!("timed_suite_slice/threads{threads}"), |b| {
-            b.iter(|| black_box(timed_suite_filtered(Scale::Test, &cfg, Some("sortNets"))));
-        });
-    }
-    group.finish();
-}
 
 /// A synthetic pointer-chasing-style load loop: every warp issues a
 /// 32 KiB-strided global load per iteration, so each one misses L1 and
@@ -73,22 +41,17 @@ fn memory_starved_kernel(num_sms: u32) -> (Program, LaunchConfig, MemImage) {
 /// Event-driven fast-forward on a memory-starved configuration: sixteen
 /// SMs riding a single-request-per-cycle DRAM/L2 with tiny MSHR files,
 /// so nearly every SM is parked on fills nearly every cycle (the
-/// calendar sleeps ~87% of SM-cycles here). The `no-mem-cal` leg keeps
-/// the SM calendar but steps the memory side every cycle — its gap to
-/// `starved/on` is the memory calendar's own contribution (skipped
-/// retire scans and MSHR view snapshots on fill-free cycles).
+/// calendar sleeps ~87% of SM-cycles here).
 fn bench_event_driven(c: &mut Criterion) {
     let starved = GpuConfig::scaled(16)
         .with_mshr_entries(4)
         .with_dram_bw(1)
-        .with_l2_bw(1)
-        .with_sim_threads(1);
+        .with_l2_bw(1);
     let (program, launch, memory) = memory_starved_kernel(starved.num_sms);
     let mut group = c.benchmark_group("event_driven");
     group.sample_size(10);
     for (label, cfg) in [
         ("starved/off", starved.with_event_driven(false)),
-        ("starved/no-mem-cal", starved.with_mem_calendar(false)),
         ("starved/on", starved),
     ] {
         group.bench_function(label, |b| {
@@ -101,5 +64,5 @@ fn bench_event_driven(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_parallel_driver, bench_event_driven);
+criterion_group!(benches, bench_event_driven);
 criterion_main!(benches);

@@ -5,18 +5,18 @@
 //!
 //! ```text
 //! cargo run --release --bin profile_report -- \
-//!     [--scale test|tiny|full] [--kernels <substring>] \
-//!     [--sim-threads <n>] [--out <dir>] \
+//!     [--scale test|tiny|full] [--kernels <substring>] [--out <dir>] \
 //!     [--mshr-entries <n>] [--l2-bw <n>] [--dram-bw <n>] \
 //!     [--l2-partitions <n>] [--xbar-queue <n>] \
-//!     [--gpu harness|titan-v|titan-v-full] \
-//!     [--no-event-driven] [--no-mem-calendar]
+//!     [--gpu harness|titan-v|titan-v-full] [--no-event-driven]
 //! ```
 //!
 //! With `--out`, each kernel's profile is also written as
 //! `<dir>/<kernel>.profile.json` (losslessly parseable back with
 //! `KernelProfile::from_json`) plus a combined `<dir>/profile.json`
 //! array.
+//!
+//! Malformed or unknown flags exit 2 with a usage line.
 //!
 //! Every kernel's per-SM issue-slot accounting is checked to reconcile
 //! exactly: attributed stalls + issued slots = cycles × issue_width,
@@ -36,7 +36,7 @@ fn main() -> ExitCode {
     let args = BenchArgs::parse();
     if !args.rest.is_empty() {
         eprintln!("unexpected arguments: {:?}", args.rest);
-        eprintln!("usage: profile_report [--scale test|tiny|full] [--kernels <substring>] [--sim-threads <n>] [--out <dir>] [--mshr-entries <n>] [--l2-bw <n>] [--dram-bw <n>] [--l2-partitions <n>] [--xbar-queue <n>] [--gpu harness|titan-v|titan-v-full] [--no-event-driven] [--no-mem-calendar]");
+        eprintln!("usage: profile_report {}", st2_bench::USAGE);
         return ExitCode::FAILURE;
     }
     let cfg = args.gpu().with_st2();
@@ -234,13 +234,7 @@ fn main() -> ExitCode {
 
         // The per-kernel summary in the committed BENCH_profile.json
         // shape, ready for `bench_diff` against a baseline.
-        let scale = if args.scale == Scale::Test {
-            "test"
-        } else {
-            "full"
-        };
-        let generator = format!("profile_report --scale {scale} (GpuConfig default, ST2 on)");
-        let mut doc = st2_bench::diff::summary_from_profiles(&profiles, &generator);
+        let mut doc = st2_bench::diff::summary_from_profiles(&profiles, &generator(&args));
         for (k, wall) in doc.kernels.iter_mut().zip(&walls) {
             // Milliseconds at microsecond resolution; whole cycles/sec.
             k.wall_ms = Some((wall * 1e6).round() / 1e3);
@@ -342,6 +336,69 @@ fn check_reconciliation(profile: &KernelProfile, cfg: &GpuConfig, cycles: u64) {
             sm.issued,
             sm.stalled(),
             sm.slots
+        );
+    }
+}
+
+/// The summary's `generator` field: the command line that reproduces
+/// the run's configuration — scale, GPU preset, and every override
+/// applied on top of it, in [`BenchArgs::gpu`] order.
+fn generator(args: &BenchArgs) -> String {
+    let scale = if args.scale == Scale::Test {
+        "test"
+    } else {
+        "full"
+    };
+    let preset = args
+        .gpu_preset
+        .map_or("harness", st2_bench::GpuPreset::name);
+    let mut g = format!("profile_report --scale {scale} --gpu {preset}");
+    for (flag, v) in [
+        ("--mshr-entries", args.mshr_entries),
+        ("--l2-bw", args.l2_bw),
+        ("--dram-bw", args.dram_bw),
+        ("--l2-partitions", args.l2_partitions),
+        ("--xbar-queue", args.xbar_queue),
+    ] {
+        if let Some(v) = v {
+            g.push_str(&format!(" {flag} {v}"));
+        }
+    }
+    if args.no_event_driven {
+        g.push_str(" --no-event-driven");
+    }
+    g.push_str(" (ST2 on)");
+    g
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(toks: &[&str]) -> BenchArgs {
+        BenchArgs::from_tokens(toks.iter().map(ToString::to_string)).expect("parses")
+    }
+
+    #[test]
+    fn generator_names_the_preset_and_every_override() {
+        assert_eq!(
+            generator(&args(&["--scale", "tiny", "--kernels", "path"])),
+            "profile_report --scale test --gpu harness (ST2 on)"
+        );
+        assert_eq!(
+            generator(&args(&[
+                "--no-event-driven",
+                "--gpu",
+                "titan-v-full",
+                "--dram-bw",
+                "1",
+                "--mshr-entries",
+                "2",
+                "--l2-partitions",
+                "4",
+            ])),
+            "profile_report --scale full --gpu titan-v-full --mshr-entries 2 --dram-bw 1 \
+             --l2-partitions 4 --no-event-driven (ST2 on)"
         );
     }
 }

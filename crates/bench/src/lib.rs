@@ -23,27 +23,22 @@ use st2::sim::ActivityCounters;
 /// * `--out <dir>` — also write machine-readable CSV artifacts there
 /// * `--kernels <substring>` — restrict suite runs to kernels whose name
 ///   contains the substring
-/// * `--sim-threads <n>` — worker threads per timed run
-///   ([`GpuConfig::sim_threads`]; `0` = auto, default leaves the config
-///   untouched)
 /// * `--mshr-entries <n>` / `--l2-bw <n>` / `--dram-bw <n>` — memory
 ///   subsystem overrides for boundedness studies (defaults leave the
 ///   config untouched; see [`GpuConfig::with_mshr_entries`] etc.)
 /// * `--l2-partitions <n>` / `--xbar-queue <n>` — L2 partition count
 ///   (power of two) and per-port crossbar queue depth overrides (see
 ///   [`GpuConfig::with_l2_partitions`] / [`GpuConfig::with_xbar_queue`])
-/// * `--no-event-driven` — force the legacy step-everything driver
+/// * `--no-event-driven` — run the lockstep reference driver
 ///   ([`GpuConfig::event_driven`] off; results are bit-identical, this
-///   is a wall-clock cross-check / escape hatch)
-/// * `--no-mem-calendar` — keep the SM fast-forward but step the memory
-///   side every cycle ([`GpuConfig::mem_calendar`] off; bit-identical,
-///   the memory-side escape hatch)
+///   is a wall-clock cross-check)
 /// * `--gpu harness|titan-v|titan-v-full` — base GPU preset before
 ///   overrides: the 4-SM harness slice (default),
 ///   [`GpuConfig::titan_v`], or the 80-SM [`GpuConfig::titan_v_full`]
 ///
-/// Unrecognised tokens land in [`BenchArgs::rest`] for binaries with
-/// positional arguments (e.g. `trace_report <kernel> [out_dir]`).
+/// Tokens that do not start with `--` land in [`BenchArgs::rest`] for
+/// binaries with positional arguments (e.g. `trace_report <kernel>
+/// [out_dir]`); an unknown `--flag` is an error.
 #[derive(Debug, Clone, Default)]
 pub struct BenchArgs {
     /// Problem scale (`--scale`).
@@ -52,8 +47,6 @@ pub struct BenchArgs {
     pub out: Option<std::path::PathBuf>,
     /// Kernel-name substring filter (`--kernels`).
     pub kernels: Option<String>,
-    /// Simulation worker threads (`--sim-threads`).
-    pub sim_threads: Option<u32>,
     /// Per-SM MSHR file capacity override (`--mshr-entries`).
     pub mshr_entries: Option<u32>,
     /// L2 requests-per-cycle override (`--l2-bw`).
@@ -64,15 +57,18 @@ pub struct BenchArgs {
     pub l2_partitions: Option<u32>,
     /// Crossbar injection-queue depth override (`--xbar-queue`).
     pub xbar_queue: Option<u32>,
-    /// Disable the event-driven fast-forward (`--no-event-driven`).
+    /// Run the lockstep reference driver (`--no-event-driven`).
     pub no_event_driven: bool,
-    /// Disable the memory-side wake calendar (`--no-mem-calendar`).
-    pub no_mem_calendar: bool,
     /// Base GPU preset (`--gpu`); `None` means the harness default.
     pub gpu_preset: Option<GpuPreset>,
     /// Everything not consumed by a flag, in order.
     pub rest: Vec<String>,
 }
+
+/// The flags [`BenchArgs`] accepts, as one usage line.
+pub const USAGE: &str = "[--scale test|tiny|full] [--out <dir>] [--kernels <substring>] \
+[--gpu harness|titan-v|titan-v-full] [--mshr-entries <n>] [--l2-bw <n>] [--dram-bw <n>] \
+[--l2-partitions <n>] [--xbar-queue <n>] [--no-event-driven]";
 
 /// Base GPU presets selectable with `--gpu` (overrides apply on top).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,6 +82,9 @@ pub enum GpuPreset {
 }
 
 impl GpuPreset {
+    /// Every preset, in `--gpu` help order.
+    pub const ALL: [GpuPreset; 3] = [GpuPreset::Harness, GpuPreset::TitanV, GpuPreset::TitanVFull];
+
     /// The preset's base configuration.
     #[must_use]
     pub fn config(self) -> GpuConfig {
@@ -95,57 +94,73 @@ impl GpuPreset {
             GpuPreset::TitanVFull => GpuConfig::titan_v_full(),
         }
     }
+
+    /// The preset's `--gpu` value.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            GpuPreset::Harness => "harness",
+            GpuPreset::TitanV => "titan-v",
+            GpuPreset::TitanVFull => "titan-v-full",
+        }
+    }
 }
 
 impl BenchArgs {
-    /// Parses the process command line (skipping `argv[0]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed flags — these binaries
-    /// are operator tools, so failing loudly beats guessing.
+    /// Parses the process command line (skipping `argv[0]`). On a
+    /// malformed or unknown flag it prints the error and a usage line
+    /// to stderr and exits with status 2.
     #[must_use]
     pub fn parse() -> Self {
-        Self::from_tokens(std::env::args().skip(1))
+        let mut argv = std::env::args();
+        let prog = argv
+            .next()
+            .and_then(|p| {
+                std::path::Path::new(&p)
+                    .file_name()
+                    .map(|f| f.to_string_lossy().into_owned())
+            })
+            .unwrap_or_else(|| "st2-bench".to_string());
+        Self::from_tokens(argv).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            eprintln!("usage: {prog} {USAGE}");
+            std::process::exit(2);
+        })
     }
 
     /// Parses an explicit token stream (for tests).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Same conditions as [`BenchArgs::parse`].
-    pub fn from_tokens(iter: impl IntoIterator<Item = String>) -> Self {
+    /// Returns a message naming the flag when a flag is missing its
+    /// value, a value does not parse, or a `--flag` is unknown.
+    pub fn from_tokens(iter: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut args = BenchArgs::default();
         let mut it = iter.into_iter();
         while let Some(tok) = it.next() {
-            let mut value = |flag: &str| {
-                it.next()
-                    .unwrap_or_else(|| panic!("{flag} requires a value"))
-            };
+            let mut value =
+                |flag: &str| it.next().ok_or_else(|| format!("{flag} requires a value"));
             match tok.as_str() {
                 "--scale" => {
-                    args.scale = match value("--scale").as_str() {
+                    args.scale = match value("--scale")?.as_str() {
                         // "tiny" is a CI-friendly alias for the smallest
                         // problem sizes the suite defines.
                         "test" | "tiny" => Scale::Test,
                         "full" => Scale::Full,
-                        other => panic!("--scale must be test, tiny or full, got {other:?}"),
+                        other => {
+                            return Err(format!(
+                                "--scale must be test, tiny or full, got {other:?}"
+                            ))
+                        }
                     };
                 }
-                "--out" => args.out = Some(std::path::PathBuf::from(value("--out"))),
-                "--kernels" => args.kernels = Some(value("--kernels")),
-                "--sim-threads" => {
-                    let v = value("--sim-threads");
-                    args.sim_threads =
-                        Some(v.parse().unwrap_or_else(|_| {
-                            panic!("--sim-threads must be an integer, got {v:?}")
-                        }));
-                }
+                "--out" => args.out = Some(std::path::PathBuf::from(value("--out")?)),
+                "--kernels" => args.kernels = Some(value("--kernels")?),
                 "--mshr-entries" | "--l2-bw" | "--dram-bw" | "--l2-partitions" | "--xbar-queue" => {
-                    let v = value(&tok);
+                    let v = value(&tok)?;
                     let n = v
                         .parse()
-                        .unwrap_or_else(|_| panic!("{tok} must be an integer, got {v:?}"));
+                        .map_err(|_| format!("{tok} must be an integer, got {v:?}"))?;
                     match tok.as_str() {
                         "--mshr-entries" => args.mshr_entries = Some(n),
                         "--l2-bw" => args.l2_bw = Some(n),
@@ -155,21 +170,18 @@ impl BenchArgs {
                     }
                 }
                 "--no-event-driven" => args.no_event_driven = true,
-                "--no-mem-calendar" => args.no_mem_calendar = true,
                 "--gpu" => {
-                    args.gpu_preset = Some(match value("--gpu").as_str() {
-                        "harness" => GpuPreset::Harness,
-                        "titan-v" => GpuPreset::TitanV,
-                        "titan-v-full" => GpuPreset::TitanVFull,
-                        other => {
-                            panic!("--gpu must be harness, titan-v or titan-v-full, got {other:?}")
-                        }
-                    });
+                    let v = value("--gpu")?;
+                    let preset = GpuPreset::ALL.into_iter().find(|p| p.name() == v);
+                    args.gpu_preset = Some(preset.ok_or_else(|| {
+                        format!("--gpu must be harness, titan-v or titan-v-full, got {v:?}")
+                    })?);
                 }
+                flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
                 _ => args.rest.push(tok),
             }
         }
-        args
+        Ok(args)
     }
 
     /// Whether `name` passes the `--kernels` filter (no filter = all).
@@ -178,14 +190,11 @@ impl BenchArgs {
         self.kernels.as_deref().is_none_or(|f| name.contains(f))
     }
 
-    /// The harness GPU with any `--sim-threads` and memory-subsystem
-    /// overrides applied.
+    /// The `--gpu` preset (harness by default) with any memory-subsystem
+    /// and driver overrides applied.
     #[must_use]
     pub fn gpu(&self) -> GpuConfig {
         let mut cfg = self.gpu_preset.map_or_else(harness_gpu, GpuPreset::config);
-        if let Some(t) = self.sim_threads {
-            cfg = cfg.with_sim_threads(t);
-        }
         if let Some(n) = self.mshr_entries {
             cfg = cfg.with_mshr_entries(n);
         }
@@ -203,9 +212,6 @@ impl BenchArgs {
         }
         if self.no_event_driven {
             cfg = cfg.with_event_driven(false);
-        }
-        if self.no_mem_calendar {
-            cfg = cfg.with_mem_calendar(false);
         }
         cfg
     }
@@ -420,8 +426,6 @@ mod tests {
             "art",
             "--kernels",
             "path",
-            "--sim-threads",
-            "2",
             "--mshr-entries",
             "4",
             "--l2-bw",
@@ -433,40 +437,57 @@ mod tests {
             "--xbar-queue",
             "4",
             "--no-event-driven",
-            "--no-mem-calendar",
             "--gpu",
             "titan-v-full",
         ];
-        let args = BenchArgs::from_tokens(toks.iter().map(ToString::to_string));
+        let args = BenchArgs::from_tokens(toks.iter().map(ToString::to_string)).expect("parses");
         assert_eq!(args.scale, Scale::Test);
         assert_eq!(args.out.as_deref(), Some(std::path::Path::new("art")));
         assert_eq!(args.kernels.as_deref(), Some("path"));
-        assert_eq!(args.sim_threads, Some(2));
         assert!(args.rest.is_empty());
         let gpu = args.gpu();
-        assert_eq!(gpu.sim_threads, 2);
+        assert_eq!(gpu.sim_threads, 1);
         assert_eq!(gpu.mshr_entries, 4);
         assert_eq!(gpu.l2_bw, 3);
         assert_eq!(gpu.dram_bw, 1);
         assert_eq!(gpu.l2_partitions, 2);
         assert_eq!(gpu.xbar_queue, 4);
         assert!(args.no_event_driven && !gpu.event_driven);
-        assert!(args.no_mem_calendar && !gpu.mem_calendar);
         assert_eq!(args.gpu_preset, Some(GpuPreset::TitanVFull));
         assert_eq!(gpu.num_sms, GpuConfig::titan_v_full().num_sms);
         assert!(args.matches("pathfinder"));
         assert!(!args.matches("histogram"));
+
+        // Malformed command lines are errors naming the flag, never a
+        // panic and never a silent fall-through into `rest`.
+        for (toks, needle) in [
+            (&["--scale"][..], "--scale requires a value"),
+            (&["--scale", "bogus"], "--scale must be"),
+            (&["--gpu", "h100"], "--gpu must be"),
+            (
+                &["--mshr-entries", "four"],
+                "--mshr-entries must be an integer",
+            ),
+            (&["--dram-bw", "-1"], "--dram-bw must be an integer"),
+            (&["--xbar-queue"], "--xbar-queue requires a value"),
+            (&["--threads", "2"], "unknown flag --threads"),
+            (&["pathfinder", "--frobnicate"], "unknown flag --frobnicate"),
+        ] {
+            let err =
+                BenchArgs::from_tokens(toks.iter().map(ToString::to_string)).expect_err(needle);
+            assert!(err.contains(needle), "{toks:?}: {err}");
+        }
     }
 
     #[test]
     fn bench_args_defaults_and_positionals() {
         let toks = ["pathfinder", "out_dir"];
-        let args = BenchArgs::from_tokens(toks.iter().map(ToString::to_string));
+        let args = BenchArgs::from_tokens(toks.iter().map(ToString::to_string)).expect("parses");
         assert_eq!(args.scale, Scale::Full);
-        assert!(args.out.is_none() && args.kernels.is_none() && args.sim_threads.is_none());
+        assert!(args.out.is_none() && args.kernels.is_none());
         assert!(args.mshr_entries.is_none() && args.l2_bw.is_none() && args.dram_bw.is_none());
         assert!(args.l2_partitions.is_none() && args.xbar_queue.is_none());
-        assert!(!args.no_event_driven && !args.no_mem_calendar);
+        assert!(!args.no_event_driven);
         assert!(args.gpu_preset.is_none());
         assert_eq!(args.rest, vec!["pathfinder", "out_dir"]);
         assert_eq!(
@@ -475,6 +496,11 @@ mod tests {
             "no overrides leaves the config untouched"
         );
         assert!(args.matches("anything"));
+        for preset in GpuPreset::ALL {
+            let args = BenchArgs::from_tokens(["--gpu".to_string(), preset.name().to_string()])
+                .expect("every preset name parses");
+            assert_eq!(args.gpu_preset, Some(preset));
+        }
     }
 
     #[test]

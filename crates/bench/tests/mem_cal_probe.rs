@@ -1,6 +1,6 @@
 //! Wall-clock probe (ignored by default): min-of-N interleaved timing
-//! for the starved event-driven config with the memory calendar on and
-//! off, mirroring the `event_driven` Criterion group. On noisy shared
+//! for the starved config in lockstep and event-driven, mirroring the
+//! `event_driven` Criterion group. On noisy shared
 //! runners Criterion's medians swing by 2-3×; the interleaved min-of-N
 //! here is the stable number EXPERIMENTS.md quotes. Run with
 //! `cargo test --release -p st2-bench --test mem_cal_probe -- --ignored --nocapture`.
@@ -34,20 +34,18 @@ fn probe() {
     let starved = GpuConfig::scaled(16)
         .with_mshr_entries(4)
         .with_dram_bw(1)
-        .with_l2_bw(1)
-        .with_sim_threads(1);
+        .with_l2_bw(1);
     let (program, launch, memory) = memory_starved_kernel(starved.num_sms);
     // Interleave the legs round-robin so CPU frequency / load drift over
     // the probe's lifetime biases every leg equally, then take each
     // leg's min.
     let legs = [
         ("lockstep", starved.with_event_driven(false)),
-        ("ed-no-memcal", starved.with_mem_calendar(false)),
-        ("ed-memcal", starved),
+        ("event-driven", starved),
     ];
-    let mut best = [f64::MAX; 3];
-    let mut skips = [0u64; 3];
-    let mut cycles = [0u64; 3];
+    let mut best = [f64::MAX; 2];
+    let mut skips = [0u64; 2];
+    let mut cycles = [0u64; 2];
     for _ in 0..9 {
         for (i, (_, cfg)) in legs.iter().enumerate() {
             let mut mem = memory.clone();

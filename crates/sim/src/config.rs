@@ -110,32 +110,23 @@ pub struct GpuConfig {
     /// latency adders.
     pub speculation: Option<SpeculationConfig>,
 
-    /// Host worker threads stepping SMs in the timed engine: `0` = use
-    /// the machine's available parallelism, `1` = the serial driver.
-    /// Results are bit-identical at every setting; this is purely a
-    /// wall-clock knob.
+    /// Simulation threads per timed run. Always 1: the timed engine has
+    /// one serial driver, and [`GpuConfig::validate`] rejects any other
+    /// value. Parallelism belongs at the job level — run independent
+    /// kernels or configs on separate threads.
     pub sim_threads: u32,
 
-    /// Event-driven per-SM fast-forward: an SM that issued nothing and
-    /// whose wake hints all lie beyond the next global cycle sleeps on a
-    /// driver-owned wake calendar and is not stepped again until a fill
-    /// retires into one of its MSHR slices or its wake time arrives.
-    /// Results are bit-identical either way (the determinism suite
-    /// asserts it); `false` forces the legacy step-everything path as an
-    /// escape hatch and cross-check. Like `sim_threads`, purely a
-    /// wall-clock knob.
+    /// Event-driven wake calendar. SM side: an SM that issued nothing
+    /// and whose wake hints all lie beyond the next global cycle sleeps
+    /// and is not stepped again until a fill retires into one of its
+    /// MSHR slices or its wake time arrives. Memory side: retire/route/
+    /// arbiter rounds are skipped while no partition's next event is due
+    /// and no awake SM queued a request, and a fully quiet machine jumps
+    /// to the global next event. Results are bit-identical either way
+    /// (the determinism suite asserts it); `false` forces the lockstep
+    /// step-everything path, the reference oracle. Purely a wall-clock
+    /// knob.
     pub event_driven: bool,
-
-    /// Memory-side wake calendar: when every SM is asleep, the drivers
-    /// consult each partition's provable next event (earliest pending
-    /// fill completion) and fast-forward the whole machine to the global
-    /// next event instead of stepping the drain/route/arbiter phases
-    /// through cycles where they are no-ops. Skipped integrals are
-    /// replayed in aggregate at wake, so results are bit-identical
-    /// either way (the determinism suite asserts it). Only consulted
-    /// when [`GpuConfig::event_driven`] is on; `false` is the escape
-    /// hatch and cross-check. Purely a wall-clock knob.
-    pub mem_calendar: bool,
 }
 
 /// Default for [`GpuConfig::event_driven`]: on. Configs built before the
@@ -144,15 +135,6 @@ pub struct GpuConfig {
 /// `serde_derive` stub has no `#[serde(default)]` support; constructors
 /// apply this directly.)
 fn default_event_driven() -> bool {
-    true
-}
-
-/// Default for [`GpuConfig::mem_calendar`]: on, for the same reason as
-/// [`default_event_driven`] — the calendarized memory side is
-/// bit-identical to per-cycle stepping, so legacy configs land on the
-/// fast path safely. (Same vendored-`serde_derive` caveat: constructors
-/// apply this directly.)
-fn default_mem_calendar() -> bool {
     true
 }
 
@@ -196,9 +178,8 @@ impl GpuConfig {
             clock_ghz: 1.2,
             scheduler: SchedulerKind::Gto,
             speculation: None,
-            sim_threads: 0,
+            sim_threads: 1,
             event_driven: default_event_driven(),
-            mem_calendar: default_mem_calendar(),
         }
     }
 
@@ -274,7 +255,8 @@ impl GpuConfig {
         self
     }
 
-    /// Sets the host worker-thread count for timed runs (`0` = auto).
+    /// Sets [`GpuConfig::sim_threads`]. Only `1` passes
+    /// [`GpuConfig::validate`].
     #[must_use]
     pub fn with_sim_threads(mut self, threads: u32) -> Self {
         self.sim_threads = threads;
@@ -286,15 +268,6 @@ impl GpuConfig {
     #[must_use]
     pub fn with_event_driven(mut self, on: bool) -> Self {
         self.event_driven = on;
-        self
-    }
-
-    /// Toggles the memory-side wake calendar (default on). `false`
-    /// steps the partition drain/route/arbiter phases every cycle —
-    /// bit-identical, just slower.
-    #[must_use]
-    pub fn with_mem_calendar(mut self, on: bool) -> Self {
-        self.mem_calendar = on;
         self
     }
 
@@ -354,8 +327,15 @@ impl GpuConfig {
     /// address decoder folds the line address into `log2(partitions)`
     /// bits), the crossbar queue depth is zero, or
     /// `l2_bw < l2_partitions` (each partition needs at least one L2
-    /// request slot per cycle).
+    /// request slot per cycle), or `sim_threads` is not 1.
     pub fn validate(&self) -> Result<(), String> {
+        if self.sim_threads != 1 {
+            return Err(format!(
+                "sim_threads must be 1, got {}: the timed engine runs one serial driver; \
+                 parallelism belongs at the job level (one run per kernel or config)",
+                self.sim_threads
+            ));
+        }
         for (knob, v) in [
             ("l1_assoc", self.l1_assoc),
             ("l2_assoc", self.l2_assoc),
@@ -399,24 +379,6 @@ impl GpuConfig {
         }
         Ok(())
     }
-
-    /// Resolves [`GpuConfig::sim_threads`] to a concrete worker count:
-    /// `0` becomes the machine's available parallelism, and the result is
-    /// clamped to `1..=num_sms` (more workers than SMs cannot help).
-    #[must_use]
-    pub fn effective_sim_threads(&self) -> u32 {
-        let auto = || {
-            std::thread::available_parallelism()
-                .map(|n| n.get() as u32)
-                .unwrap_or(1)
-        };
-        let requested = if self.sim_threads == 0 {
-            auto()
-        } else {
-            self.sim_threads
-        };
-        requested.clamp(1, self.num_sms.max(1))
-    }
 }
 
 impl Default for GpuConfig {
@@ -446,22 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_threads_resolution() {
-        let c = GpuConfig::scaled(4);
-        assert_eq!(c.sim_threads, 0, "default is auto");
-        assert!(c.effective_sim_threads() >= 1);
-        assert!(c.effective_sim_threads() <= 4, "clamped to num_sms");
-        assert_eq!(c.with_sim_threads(1).effective_sim_threads(), 1);
-        assert_eq!(c.with_sim_threads(99).effective_sim_threads(), 4);
-        assert_eq!(
-            GpuConfig::scaled(2)
-                .with_sim_threads(2)
-                .effective_sim_threads(),
-            2
-        );
-    }
-
-    #[test]
     fn memory_knobs_scale_and_zero_is_rejected() {
         let full = GpuConfig::titan_v();
         assert_eq!(full.mshr_entries, 64);
@@ -470,6 +416,16 @@ mod tests {
         assert!(small.l2_bw < full.l2_bw);
         assert!(small.dram_bw >= 1);
         assert_eq!(small.with_dram_bw(7).dram_bw, 7);
+        // The pinned thread count: 1 by default, every other value is
+        // rejected rather than silently run on one thread.
+        assert_eq!(small.sim_threads, 1);
+        assert_eq!(GpuConfig::titan_v_full().sim_threads, 1);
+        assert!(small.validate().is_ok());
+        let err = small
+            .with_sim_threads(2)
+            .validate()
+            .expect_err("two threads");
+        assert!(err.contains("job level"), "{err}");
         // Zero-valued knobs are no longer silently clamped to 1: the
         // builders store them verbatim and `validate` rejects them with
         // the knob's name in the message.
@@ -477,6 +433,8 @@ mod tests {
             (small.with_mshr_entries(0), "mshr_entries"),
             (small.with_l2_bw(0), "l2_bw"),
             (small.with_dram_bw(0), "dram_bw"),
+            (small.with_sim_threads(0), "sim_threads"),
+            (small.with_sim_threads(2), "sim_threads"),
         ] {
             let err = cfg.validate().expect_err(knob);
             assert!(err.contains(knob), "{knob}: {err}");
@@ -504,19 +462,11 @@ mod tests {
     #[test]
     fn event_driven_defaults_on() {
         // Pin the default (on — bit-identical to off, so legacy configs
-        // land on the fast path safely) and the builder escape hatch.
+        // land on the fast path safely) and the lockstep reference.
         assert!(GpuConfig::titan_v().event_driven);
         assert!(GpuConfig::scaled(4).event_driven, "inherited via scaled");
         assert!(!GpuConfig::scaled(4).with_event_driven(false).event_driven);
         assert!(super::default_event_driven());
-    }
-
-    #[test]
-    fn mem_calendar_defaults_on() {
-        assert!(GpuConfig::titan_v().mem_calendar);
-        assert!(GpuConfig::scaled(4).mem_calendar, "inherited via scaled");
-        assert!(!GpuConfig::scaled(4).with_mem_calendar(false).mem_calendar);
-        assert!(super::default_mem_calendar());
     }
 
     #[test]

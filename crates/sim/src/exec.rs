@@ -6,7 +6,6 @@
 //! and speculation: the instruction class, active-lane count, per-lane
 //! adder operations, and memory access addresses.
 
-use crate::gmem::GlobalMem;
 use crate::simt::{Mask, SimtStack};
 use crate::trace::ValueTrace;
 use st2_core::event::{AddRecord, OpContext, WidthClass};
@@ -178,9 +177,8 @@ pub struct ExecEnv<'a> {
     pub program: &'a Program,
     /// Launch geometry.
     pub launch: LaunchConfig,
-    /// Device global memory: a plain `&mut MemImage` in serial drivers,
-    /// a [`crate::gmem::SharedGlobal`] view in parallel timed runs.
-    pub global: &'a mut dyn GlobalMem,
+    /// Device global memory.
+    pub global: &'a mut MemImage,
     /// This block's shared memory.
     pub shared: &'a mut MemImage,
 }

@@ -19,16 +19,16 @@
 //!   counts the power model consumes (Fig. 7).
 //!
 //! The timed mode is layered: [`sm::SmCore`] is a self-contained per-SM
-//! core (scheduler, scoreboard, pipes, ST² speculation) that talks to the
-//! outside world only through [`gmem::GlobalMem`] and
-//! [`memory::MemInterface`]; [`timed`] is the driver that owns block
-//! dispatch, the shared [`memory::MemoryHierarchy`] (sharded into
-//! [`memory::Partition`] banks by [`addrdec::AddressDecoder`]), and the
-//! global clock. Because cores queue their memory transactions and the
-//! driver routes them in SM-index order and drains partitions in
-//! partition-index order each cycle, the driver can step cores — and
-//! drain partitions — on worker threads ([`GpuConfig::sim_threads`])
-//! with **bit-identical** results to the serial path.
+//! core (scheduler, scoreboard, pipes, ST² speculation) that reads and
+//! writes the global [`st2_isa::MemImage`] directly and queues its cache
+//! transactions on a [`memory::MemInterface`]; [`timed`] is the one
+//! serial driver that owns block dispatch, the shared
+//! [`memory::MemoryHierarchy`] (sharded into [`memory::Partition`] banks
+//! by [`addrdec::AddressDecoder`]), and the global clock. Its
+//! event-driven wake calendar ([`GpuConfig::event_driven`]) is
+//! **bit-identical** to the lockstep reference path. Parallelism belongs
+//! at the job level: run independent kernels or configs on separate
+//! threads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +37,6 @@ pub mod addrdec;
 pub mod config;
 pub mod engine;
 pub mod exec;
-pub mod gmem;
 pub mod memory;
 pub mod simt;
 pub mod sm;
@@ -51,7 +50,6 @@ pub use engine::{
     run_functional, run_functional_with, run_functional_with_telemetry, FunctionalOptions,
     FunctionalOutput,
 };
-pub use gmem::{GlobalMem, SharedGlobal};
 pub use memory::{MemInterface, RequestQueue};
 pub use sm::{CycleReport, SmCore};
 pub use stats::{ActivityCounters, InstMix, SimStats};

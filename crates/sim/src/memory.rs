@@ -18,9 +18,9 @@
 //! touches after decode — per-SM L1 bank and MSHR file slices, an L2
 //! bank, its own L2/DRAM bandwidth arbiters, and per-SM crossbar
 //! injection ports — so two requests routed to different partitions
-//! share **no** mutable state. That disjointness is what lets the
-//! drivers drain partitions concurrently ([`Partition::access`] is
-//! pure per-partition work) while the per-SM completion phase
+//! share **no** mutable state. That disjointness makes the drain order
+//! across partitions irrelevant ([`Partition::access`] is pure
+//! per-partition work) while the per-SM completion phase
 //! ([`crate::sm::SmCore::complete_memory`]) replays counter and
 //! telemetry updates in deterministic (SM-index, issue) order. With
 //! one partition, the model degenerates to the legacy monolithic L2:
@@ -290,8 +290,8 @@ impl XbarPort {
 /// One address slice of the memory subsystem: the per-SM L1 bank and
 /// MSHR file slices for the lines this partition serves, an L2 bank,
 /// private L2/DRAM bandwidth arbiters, and the per-SM crossbar
-/// injection ports. Partitions share no mutable state, so the drivers
-/// may drain different partitions concurrently.
+/// injection ports. Partitions share no mutable state, so the order in
+/// which different partitions are drained cannot affect any result.
 #[derive(Debug, Clone)]
 pub struct Partition {
     l1s: Vec<Cache>,
@@ -315,9 +315,7 @@ pub struct Partition {
 
 /// L1s + MSHR files + partitioned L2 + DRAM with latency, bandwidth and
 /// occupancy accounting. A thin owner around the [`Partition`] slices
-/// plus the address decoder that routes between them; the parallel
-/// driver takes the partitions out ([`MemoryHierarchy::into_partitions`])
-/// to put each behind its own lock.
+/// plus the address decoder that routes between them.
 #[derive(Debug, Clone)]
 pub struct MemoryHierarchy {
     parts: Vec<Partition>,
@@ -332,7 +330,7 @@ pub struct MemoryHierarchy {
 /// (neither allocates a new fill). Every counter a transaction implies
 /// is reconstructible from this record
 /// ([`apply_access_counters`]), which is what lets partitions compute
-/// results concurrently and the per-SM completion phase apply the
+/// results in any order and the per-SM completion phase apply the
 /// counters deterministically afterwards. (`Default` exists only as
 /// the routing placeholder in [`Completion`].)
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -400,8 +398,8 @@ impl AccessResult {
 }
 
 /// One SM's view of its MSHR slice in one partition: free entries,
-/// earliest in-flight fill, and current occupancy. The drivers snapshot
-/// one per partition after the drain and hand the slice to
+/// earliest in-flight fill, and current occupancy. The driver snapshots
+/// one per partition after the drain and hands the slice to
 /// [`crate::sm::SmCore::complete_memory`], which refreshes the core's
 /// per-partition credit mirror and wake hint from it.
 #[derive(Debug, Clone, Copy)]
@@ -471,7 +469,7 @@ impl Partition {
     /// Touches only this partition's state and performs **no** counter
     /// or telemetry updates — those are reconstructed from the returned
     /// [`AccessResult`] by [`apply_access_counters`] in the per-SM
-    /// completion phase, so partition drains can run concurrently.
+    /// completion phase, so partition drains commute.
     pub fn access(&mut self, sm: usize, addr: u64, now: u64) -> AccessResult {
         let line_id = addr / self.line;
         if let Some(fill) = self.mshrs[sm].find(line_id, now) {
@@ -537,7 +535,7 @@ impl Partition {
     }
 
     /// Retires SM `sm`'s MSHR entries in this partition whose fills
-    /// have landed by `now`. The drivers call this for every partition
+    /// have landed by `now`. The driver calls this for every partition
     /// at the start of each drain, before any access, so the cycle's
     /// requests see the post-retirement files.
     pub fn retire_fills(&mut self, sm: usize, now: u64) {
@@ -661,25 +659,18 @@ impl MemoryHierarchy {
         self.decoder
     }
 
-    /// Mutable access to partition `p` (the serial driver's
+    /// Mutable access to partition `p` (the driver's
     /// partition-index-order drain).
     pub fn partition_mut(&mut self, p: usize) -> &mut Partition {
         &mut self.parts[p]
-    }
-
-    /// Takes the partitions out of the hierarchy so the parallel driver
-    /// can put each behind its own lock and drain them concurrently.
-    #[must_use]
-    pub fn into_partitions(self) -> Vec<Partition> {
-        self.parts
     }
 
     /// One coalesced global-memory transaction from SM `sm` touching the
     /// line containing `addr` at cycle `now`, with counter updates:
     /// routes through the address decoder, accesses the partition, and
     /// applies the implied counters. The single-structure convenience
-    /// path (unit tests, single-SM tools); the drivers instead route,
-    /// drain and complete in separate phases.
+    /// path (unit tests, single-SM tools); the driver instead routes,
+    /// drains and completes in separate phases.
     pub fn access(
         &mut self,
         sm: usize,
@@ -703,7 +694,7 @@ impl MemoryHierarchy {
 
     /// The hierarchy's provable next event: the minimum of
     /// [`Partition::next_event`] over every partition (`u64::MAX` when
-    /// the whole memory side is idle). The serial driver's memory
+    /// the whole memory side is idle). The driver's memory
     /// calendar entry.
     #[must_use]
     pub fn next_event(&self) -> u64 {
@@ -768,8 +759,7 @@ pub struct LaneReq {
 
 /// One partition's request lane for a drain round: the routed requests
 /// in (SM-index, issue) order and the results the partition produced
-/// for them. The pair lives next to its [`Partition`] so the parallel
-/// driver can hand both to a worker behind one lock.
+/// for them.
 #[derive(Debug, Default)]
 pub struct PartitionLane {
     /// Routed requests, (SM-index, issue) order.
@@ -786,8 +776,8 @@ impl PartitionLane {
     }
 
     /// Runs every routed request through `part` in lane order, filling
-    /// `results`. Pure per-partition work — safe to run concurrently
-    /// with other partitions' drains.
+    /// `results`. Pure per-partition work: it commutes with other
+    /// partitions' drains.
     pub fn drain(&mut self, part: &mut Partition, now: u64) {
         self.results.clear();
         self.results
@@ -861,10 +851,10 @@ fn saturate(cycles: u64) -> u32 {
 /// [`crate::sm::SmCore::step_cycle`] queues one request per coalesced
 /// segment, tagged with a core-local `token`; the driver drains the
 /// queues against the [`MemoryHierarchy`] in SM-index order at the end of
-/// the cycle (the barrier, in parallel runs), then hands completion
-/// times back via [`crate::sm::SmCore::drain_memory`]. This keeps the
-/// L2/DRAM access sequence — and therefore every latency, queue depth
-/// and counter — identical between serial and parallel drivers.
+/// the cycle, then hands completion times back via
+/// [`crate::sm::SmCore::drain_memory`]. This keeps the L2/DRAM access
+/// sequence — and therefore every latency, queue depth and counter —
+/// independent of when within the cycle each core stepped.
 pub trait MemInterface {
     /// Queues one coalesced transaction touching the line at `addr`.
     /// `token` identifies the issuing access so the core can match the

@@ -4,12 +4,11 @@
 //! a cycle — resident warps, block slots, the register scoreboard,
 //! functional-unit pipes, the ST² predictor with its Carry Register File,
 //! and per-SM activity counters — and nothing shared with other SMs.
-//! Global memory reaches it through [`crate::gmem::GlobalMem`] and the
-//! cache hierarchy through [`crate::memory::MemInterface`], so cores can
-//! step concurrently; the driver ([`crate::timed`]) routes the queued
-//! memory requests to the L2 partitions in SM-index order at the end of
-//! every cycle and drains the partitions in partition-index order,
-//! which keeps serial and parallel runs bit-identical.
+//! It reads and writes the global [`MemImage`] directly and reaches the
+//! cache hierarchy only through [`crate::memory::MemInterface`]; the
+//! driver ([`crate::timed`]) routes the queued memory requests to the L2
+//! partitions in SM-index order at the end of every cycle and drains the
+//! partitions in partition-index order.
 //!
 //! One cycle is three phases, all driven from outside:
 //!
@@ -18,8 +17,8 @@
 //!    memory transactions (scoreboard destinations of in-flight loads are
 //!    parked at `u64::MAX`).
 //! 2. The driver routes the queued transactions to the L2 partitions
-//!    ([`crate::memory::route_requests`]), drains the partitions —
-//!    concurrently, in parallel runs — and hands the completed results
+//!    ([`crate::memory::route_requests`]), drains the partitions in
+//!    partition-index order and hands the completed results
 //!    back through [`SmCore::complete_memory`], which resolves the
 //!    parked scoreboard entries ([`SmCore::drain_memory`] bundles the
 //!    whole phase for single-SM callers).
@@ -29,7 +28,6 @@
 use crate::addrdec::AddressDecoder;
 use crate::config::{GpuConfig, SchedulerKind};
 use crate::exec::{step, ExecEnv, StepHooks, WarpAdderOp, WarpCtx};
-use crate::gmem::GlobalMem;
 use crate::memory::{
     apply_access_counters, coalesce, Completion, MemInterface, MemoryHierarchy, MshrView,
     RequestQueue,
@@ -280,7 +278,7 @@ pub struct CycleReport {
     /// `MemPending` reports `ready_at.max(pipe_free)` (load completions
     /// resolve the same cycle the fill lands, via `complete_memory`) and
     /// `MemThrottle` reports the MSHR wake hint — only `Done`/`Barrier`
-    /// warps are `u64::MAX`. That exactness is what lets the drivers
+    /// warps are `u64::MAX`. That exactness is what lets the driver
     /// park the SM until this cycle with no intermediate polling, and
     /// why a machine-wide `next_wake == u64::MAX` means every warp is
     /// finished or barrier-parked (the quiet-machine jump in
@@ -477,7 +475,7 @@ impl SmCore {
         now: u64,
         program: &Program,
         launch: LaunchConfig,
-        global: &mut dyn GlobalMem,
+        global: &mut MemImage,
         iface: &mut dyn MemInterface,
         tele: &mut Telemetry,
     ) -> CycleReport {
@@ -971,10 +969,9 @@ impl SmCore {
 
     /// Single-SM bundle of the whole memory phase: retire fills, route
     /// this core's queued requests through the decoder, drain every
-    /// partition in index order, and apply the completions. The drivers
-    /// run the phases separately (so multi-SM lanes and partition
-    /// parallelism work); this wrapper serves single-core callers and
-    /// tests.
+    /// partition in index order, and apply the completions. The driver
+    /// runs the phases separately (so multi-SM lanes work); this wrapper
+    /// serves single-core callers and tests.
     pub fn drain_memory(
         &mut self,
         queue: &mut RequestQueue,

@@ -133,8 +133,7 @@ struct MemBase {
 
 /// Energy-timeline baseline: cumulative event counts at the last
 /// snapshot of the energy interval series. Every field is a pure
-/// integer, so per-SM children merged with [`IntervalSeries::merge_sum`]
-/// reproduce a serial collector's rows bit for bit.
+/// integer, so rows are exact whichever driver path produced them.
 #[derive(Debug, Clone, Copy, Default)]
 struct EnergyBase {
     dram_fills: u64,
@@ -208,9 +207,7 @@ pub struct Telemetry {
     part_fills: Vec<u64>,
     /// Per-SM peak MSHR occupancy within the current snapshot interval.
     /// The interval row publishes the *sum of per-SM peaks*, a pure
-    /// integer sum — so a serial run (one collector, all SMs) and a
-    /// parallel run (per-SM children merged with
-    /// [`IntervalSeries::merge_sum`]) produce bit-identical timelines.
+    /// integer sum.
     mshr_interval_peak: Vec<u32>,
     /// Per-interval energy-event timeline (columns:
     /// [`ENERGY_SERIES_COLUMNS`]). Every column is an extensive integer
@@ -386,100 +383,10 @@ impl Telemetry {
     }
 
     /// The sizing/cadence configuration this collector was built with
-    /// (used to spawn per-SM child collectors for parallel runs).
+    /// (the timed driver mirrors its snapshot cadence).
     #[must_use]
     pub fn config(&self) -> TelemetryConfig {
         self.config
-    }
-
-    /// Folds a per-SM child collector (a `Telemetry::for_run(1, ..)`
-    /// observing only SM `sm`) into this one.
-    ///
-    /// The parallel timed driver gives every SM its own collector so
-    /// workers never contend, then absorbs them in SM-index order at the
-    /// end of the run. Ring events land in this collector's ring for
-    /// `sm` (span names re-interned); counters, histograms and per-PC
-    /// stats sum; interval rows merge pointwise — both sides snapshot at
-    /// the same global-clock boundaries — with the accuracy ratio
-    /// recomputed from the summed op/mispredict deltas, making the merged
-    /// accuracy series bit-identical to a serial run's (the IPC column is
-    /// a sum of per-SM ratios: mathematically equal, floating-point
-    /// rounding aside). Call
-    /// [`Telemetry::finalize`] after the last absorb to take the final
-    /// partial snapshot and freeze summary gauges.
-    pub fn absorb(&mut self, other: &Telemetry, sm: usize) {
-        if !self.enabled || !other.enabled {
-            return;
-        }
-        for ring in &other.rings {
-            for ev in ring.iter_in_order() {
-                let kind = match ev.kind {
-                    EventKind::Span { name, duration } => EventKind::Span {
-                        name: self.intern_span_name(other.span_name(name)),
-                        duration,
-                    },
-                    k => k,
-                };
-                self.record_event(sm, ev.cycle, kind);
-            }
-        }
-        self.registry.absorb(&other.registry);
-        self.profile.absorb(&other.profile, sm);
-        for (&pc, s) in &other.pc_stats {
-            let e = self.pc_stats.entry(pc).or_default();
-            e.ops += s.ops;
-            e.mispredicts += s.mispredicts;
-        }
-        self.series.merge_sum(&other.series);
-        let acc_idx = 0; // SERIES_COLUMNS order: accuracy, ops, mispredicts, ipc
-        self.series.map_points(|_, vals| {
-            let (d_ops, d_mis) = (vals[1], vals[2]);
-            vals[acc_idx] = if d_ops == 0.0 {
-                1.0
-            } else {
-                1.0 - d_mis / d_ops
-            };
-        });
-        self.base.ops += other.base.ops;
-        self.base.mispredicts += other.base.mispredicts;
-        self.base.instructions += other.base.instructions;
-        self.base.cycle = self.base.cycle.max(other.base.cycle);
-        self.next_snapshot = self.next_snapshot.max(other.next_snapshot);
-        // Memory timeline: rows sum pointwise (all columns are
-        // extensive integers), cumulative integrals and baselines sum,
-        // and the child's post-boundary peak lands in this collector's
-        // per-SM slot so the final partial snapshot matches serial.
-        self.mem_series.merge_sum(&other.mem_series);
-        self.mshr_occupied_cycles += other.mshr_occupied_cycles;
-        self.mem_base.occupied_cycles += other.mem_base.occupied_cycles;
-        self.mem_base.l1_misses += other.mem_base.l1_misses;
-        self.mem_base.dram_accesses += other.mem_base.dram_accesses;
-        self.mem_base.bw_wait += other.mem_base.bw_wait;
-        self.mem_base.xbar_wait += other.mem_base.xbar_wait;
-        if self.part_fills.len() < other.part_fills.len() {
-            self.part_fills.resize(other.part_fills.len(), 0);
-        }
-        for (mine, theirs) in self.part_fills.iter_mut().zip(&other.part_fills) {
-            *mine += theirs;
-        }
-        // Energy timeline: rows sum pointwise (every column is an
-        // extensive integer event count) and the cumulative integrals /
-        // baselines sum, so the parent's final partial row — pushed by
-        // `finalize` after all absorbs — equals the serial row exactly.
-        self.energy_series.merge_sum(&other.energy_series);
-        self.energy_sm_cycles += other.energy_sm_cycles;
-        self.energy_base.dram_fills += other.energy_base.dram_fills;
-        self.energy_base.l2_grants += other.energy_base.l2_grants;
-        self.energy_base.mshr_merges += other.energy_base.mshr_merges;
-        self.energy_base.xbar_hops += other.energy_base.xbar_hops;
-        self.energy_base.write_allocs += other.energy_base.write_allocs;
-        self.energy_base.instructions += other.energy_base.instructions;
-        self.energy_base.sm_cycles += other.energy_base.sm_cycles;
-        let other_peak = other.mshr_interval_peak.iter().copied().max().unwrap_or(0);
-        let idx = sm.min(self.mshr_interval_peak.len().saturating_sub(1));
-        if let Some(p) = self.mshr_interval_peak.get_mut(idx) {
-            *p = (*p).max(other_peak);
-        }
     }
 
     /// Sets the SM / cycle context subsequent sink callbacks attribute
@@ -699,8 +606,7 @@ impl Telemetry {
         let Some(ids) = self.ids else { return };
         // Memory timeline row: interval deltas of the extensive memory
         // integrals plus the summed per-SM occupancy peaks. Pure
-        // integer values stored as exact f64s, so per-SM rows merged by
-        // `merge_sum` are bit-identical to a serial collector's.
+        // integer values stored as exact f64s.
         let l1m = self.registry.counter_value(ids.l1_misses);
         let dram = self.registry.counter_value(ids.dram_accesses);
         let bw = self.registry.counter_value(ids.bw_starved_cycles);

@@ -118,7 +118,7 @@ impl Histogram {
     }
 
     /// Folds another histogram into this one (bucket-wise sums, max of
-    /// maxima). Used when merging per-SM collectors after a parallel run.
+    /// maxima).
     pub fn merge(&mut self, other: &Histogram) {
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *b += o;
@@ -230,40 +230,6 @@ impl IntervalSeries {
         &self.points
     }
 
-    /// Pointwise-sums another series into this one. Rows are matched by
-    /// index — callers guarantee both series snapshot at the same cycle
-    /// boundaries (per-SM collectors driven by one global clock); rows
-    /// `other` has beyond `self`'s length are appended as copies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if matched rows disagree on cycle or column count.
-    pub fn merge_sum(&mut self, other: &IntervalSeries) {
-        if self.columns.is_empty() {
-            self.columns = other.columns.clone();
-        }
-        for (i, p) in other.points.iter().enumerate() {
-            if i < self.points.len() {
-                let row = &mut self.points[i];
-                assert_eq!(row.cycle, p.cycle, "snapshot boundaries diverged");
-                assert_eq!(row.values.len(), p.values.len(), "column mismatch");
-                for (v, o) in row.values.iter_mut().zip(p.values.iter()) {
-                    *v += o;
-                }
-            } else {
-                self.points.push(p.clone());
-            }
-        }
-    }
-
-    /// Applies `f` to every row's values in time order (e.g. to recompute
-    /// a ratio column after [`IntervalSeries::merge_sum`]).
-    pub fn map_points(&mut self, mut f: impl FnMut(u64, &mut [f64])) {
-        for p in &mut self.points {
-            f(p.cycle, &mut p.values);
-        }
-    }
-
     /// One named column as `(cycle, value)` pairs.
     #[must_use]
     pub fn column(&self, name: &str) -> Option<Vec<(u64, f64)>> {
@@ -372,24 +338,6 @@ impl MetricsRegistry {
     #[must_use]
     pub fn histograms(&self) -> &[(String, Histogram)] {
         &self.histograms
-    }
-
-    /// Folds another registry into this one by metric name: counters and
-    /// histograms sum, gauges take the other's value (last write wins, as
-    /// with [`MetricsRegistry::set`]). Names absent here are registered.
-    pub fn absorb(&mut self, other: &MetricsRegistry) {
-        for (name, v) in &other.counters {
-            let id = self.counter(name);
-            self.counters[id.0].1 += v;
-        }
-        for (name, v) in &other.gauges {
-            let id = self.gauge(name);
-            self.gauges[id.0].1 = *v;
-        }
-        for (name, h) in &other.histograms {
-            let id = self.histogram(name);
-            self.histograms[id.0].1.merge(h);
-        }
     }
 
     /// Looks up a counter's value by name (exporters, tests).

@@ -20,10 +20,8 @@
 //!   capture time with the adder per-PC accuracy the collector already
 //!   tracks.
 //!
-//! Everything merges deterministically: per-SM collectors from the
-//! parallel timed driver fold into the parent via
-//! [`ProfileCollector::absorb`] with pure integer sums, so 1/2/4-thread
-//! runs produce bit-identical profiles.
+//! Everything is a pure integer sum, so event-driven and lockstep runs
+//! produce bit-identical profiles.
 //!
 //! [`KernelProfile`] is the portable snapshot: captured from a finalized
 //! [`Telemetry`], rendered as an nvprof-style text report
@@ -270,18 +268,10 @@ impl PcCounters {
     pub fn stalled(&self) -> u64 {
         self.stalls.iter().sum()
     }
-
-    /// Folds another PC's counters into this one.
-    pub fn merge(&mut self, other: &PcCounters) {
-        self.issued += other.issued;
-        for (s, o) in self.stalls.iter_mut().zip(other.stalls.iter()) {
-            *s += o;
-        }
-    }
 }
 
 /// Occupancy-timeline column names (raw extensive sums per interval;
-/// ratios are computed at render time so per-SM merges stay exact).
+/// ratios are computed at render time so the rows stay exact).
 pub const PROFILE_SERIES_COLUMNS: [&str; 4] = [
     "occ.warp_cycles",
     "occ.eligible_cycles",
@@ -296,15 +286,6 @@ struct OccTotals {
     eligible_cycles: u64,
     issued_slots: u64,
     total_slots: u64,
-}
-
-impl OccTotals {
-    fn add(&mut self, other: &OccTotals) {
-        self.warp_cycles += other.warp_cycles;
-        self.eligible_cycles += other.eligible_cycles;
-        self.issued_slots += other.issued_slots;
-        self.total_slots += other.total_slots;
-    }
 }
 
 /// PC key used for hotspot entries evicted by the table bound.
@@ -405,27 +386,6 @@ impl ProfileCollector {
             ],
         );
         self.base = self.cum;
-    }
-
-    /// Folds a per-SM child collector (observing only SM `sm`) into this
-    /// one: SM profiles land at index `sm`, per-PC tables and occupancy
-    /// totals sum, interval rows merge pointwise. Pure integer sums make
-    /// the merge order-independent and bit-identical to serial
-    /// collection (as long as the per-PC bound is not hit).
-    pub fn absorb(&mut self, other: &ProfileCollector, sm: usize) {
-        let idx = sm.min(self.sms.len().saturating_sub(1));
-        for o in &other.sms {
-            self.sms[idx].merge(o);
-        }
-        let mut pcs: Vec<(u32, PcCounters)> = other.pcs.iter().map(|(&pc, &c)| (pc, c)).collect();
-        pcs.sort_by_key(|(pc, _)| *pc);
-        for (pc, c) in pcs {
-            self.pc_entry(pc).merge(&c);
-        }
-        self.overflow_events += other.overflow_events;
-        self.series.merge_sum(&other.series);
-        self.cum.add(&other.cum);
-        self.base.add(&other.base);
     }
 
     /// Per-SM issue-slot profiles, SM-index order.
@@ -1391,39 +1351,6 @@ mod tests {
         let pcs = c.pcs_sorted();
         let at7 = pcs.iter().find(|(pc, _)| *pc == 7).unwrap().1;
         assert_eq!(at7.stalled(), 1 + 16 + 4);
-    }
-
-    #[test]
-    fn absorb_is_order_independent() {
-        let make = |sm: usize, seed: u32| {
-            let mut c = ProfileCollector::new(1, 64);
-            c.commit(
-                0,
-                1 + u64::from(seed % 3),
-                &cycle(
-                    seed % 2,
-                    &[
-                        (StallReason::Scoreboard, seed % 4),
-                        (StallReason::Barrier, 1),
-                    ],
-                    4,
-                ),
-            );
-            c.snapshot(1024);
-            (sm, c)
-        };
-        let children = [make(0, 1), make(1, 2), make(2, 5), make(3, 9)];
-        let mut fwd = ProfileCollector::new(4, 64);
-        for (sm, c) in &children {
-            fwd.absorb(c, *sm);
-        }
-        let mut rev = ProfileCollector::new(4, 64);
-        for (sm, c) in children.iter().rev() {
-            rev.absorb(c, *sm);
-        }
-        assert_eq!(fwd.sms(), rev.sms());
-        assert_eq!(fwd.pcs_sorted(), rev.pcs_sorted());
-        assert_eq!(fwd.series().points(), rev.series().points());
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Cross-crate determinism: the parallel timed driver
-//! (`GpuConfig::sim_threads > 1`) must be **bit-identical** to the serial
-//! one — same cycles, same activity counters, same memory, same merged
-//! telemetry counters — on real suite kernels, baseline and ST² alike.
+//! Cross-crate determinism: the event-driven timed driver (the wake
+//! calendar, `GpuConfig::event_driven`, on by default) must be
+//! **bit-identical** to the lockstep reference — same cycles, same
+//! activity counters, same memory, same telemetry and profiles — on real
+//! suite kernels, baseline and ST² alike.
 //!
-//! This is the contract that makes `sim_threads` a pure wall-clock knob:
-//! every figure and table of the reproduction is allowed to run
-//! parallel without a tolerance budget.
+//! This is the contract that makes `event_driven` a pure wall-clock knob:
+//! every figure and table of the reproduction runs on the fast path
+//! without a tolerance budget.
 
 use st2::prelude::*;
 
@@ -47,46 +48,6 @@ fn tight_partitioned_cfg(parts: u32) -> GpuConfig {
         .with_dram_bw(1)
         .with_l2_bw(parts)
         .with_l2_partitions(parts)
-}
-
-#[test]
-fn partitioned_runs_are_bit_identical_across_threads() {
-    // The partitions x threads matrix: any partition count must be a
-    // pure topology knob for `sim_threads` — partition drains are
-    // ordered by partition index in both drivers, so 1/2/4 workers see
-    // the same per-partition arbiter state.
-    for name in KERNELS {
-        let spec = spec_by_name(name);
-        for parts in [1u32, 2, 4] {
-            let cfg = tight_partitioned_cfg(parts);
-            let (serial, mem_serial) = timed(&spec, &cfg.with_sim_threads(1));
-            for threads in [2u32, 4] {
-                let (parallel, mem_parallel) = timed(&spec, &cfg.with_sim_threads(threads));
-                assert_eq!(
-                    serial.cycles, parallel.cycles,
-                    "{name}: cycles diverge at {parts} partitions / {threads} threads"
-                );
-                assert_eq!(
-                    serial.activity, parallel.activity,
-                    "{name}: activity diverges at {parts} partitions / {threads} threads"
-                );
-                assert_eq!(
-                    mem_serial, mem_parallel,
-                    "{name}: memory diverges at {parts} partitions / {threads} threads"
-                );
-            }
-            // Partitioned results still satisfy the CPU reference.
-            let mut mem = spec.memory.clone();
-            let _ = run_timed(
-                &spec.program,
-                spec.launch,
-                &mut mem,
-                &cfg.with_sim_threads(2),
-            );
-            spec.verify(&mem)
-                .unwrap_or_else(|e| panic!("{name} failed verification: {e}"));
-        }
-    }
 }
 
 #[test]
@@ -159,10 +120,10 @@ fn single_partition_reproduces_pre_crossbar_counters() {
             mshr_wait_cycles: 249419,
         },
     ];
-    let cfg = tight_partitioned_cfg(1).with_sim_threads(1);
+    let cfg = tight_partitioned_cfg(1);
     assert_eq!(
         cfg,
-        tight_memory_cfg().with_l2_partitions(1).with_sim_threads(1),
+        tight_memory_cfg().with_l2_partitions(1),
         "tight_partitioned_cfg(1) must equal the pre-refactor starved config"
     );
     for g in &goldens {
@@ -223,98 +184,6 @@ fn single_partition_reproduces_pre_crossbar_counters() {
 }
 
 #[test]
-fn parallel_timed_runs_are_bit_identical_to_serial() {
-    for name in KERNELS {
-        let spec = spec_by_name(name);
-        for cfg in [
-            GpuConfig::scaled(4),
-            GpuConfig::scaled(4).with_st2(),
-            tight_memory_cfg(),
-        ] {
-            let (serial, mem_serial) = timed(&spec, &cfg.with_sim_threads(1));
-            for threads in [2u32, 4] {
-                let (parallel, mem_parallel) = timed(&spec, &cfg.with_sim_threads(threads));
-                assert_eq!(
-                    serial.cycles, parallel.cycles,
-                    "{name}: cycles diverge at {threads} threads"
-                );
-                assert_eq!(
-                    serial.activity, parallel.activity,
-                    "{name}: activity counters diverge at {threads} threads"
-                );
-                assert_eq!(
-                    mem_serial, mem_parallel,
-                    "{name}: memory diverges at {threads} threads"
-                );
-            }
-            // Parallel results satisfy the kernel's CPU reference too.
-            let mut mem = spec.memory.clone();
-            let _ = run_timed(
-                &spec.program,
-                spec.launch,
-                &mut mem,
-                &cfg.with_sim_threads(2),
-            );
-            spec.verify(&mem)
-                .unwrap_or_else(|e| panic!("{name} failed verification: {e}"));
-        }
-    }
-}
-
-#[test]
-fn parallel_profiles_are_bit_identical_to_serial() {
-    for name in KERNELS {
-        let spec = spec_by_name(name);
-        for cfg in [
-            GpuConfig::scaled(4),
-            GpuConfig::scaled(4).with_st2(),
-            tight_memory_cfg(),
-        ] {
-            let observe = |threads: u32| {
-                let mut mem = spec.memory.clone();
-                let mut tele = Telemetry::for_run(cfg.num_sms as usize, TelemetryConfig::default());
-                let out = run_timed_with(
-                    &spec.program,
-                    spec.launch,
-                    &mut mem,
-                    &cfg.with_sim_threads(threads),
-                    RunOptions::with_telemetry(&mut tele),
-                );
-                (
-                    out,
-                    KernelProfile::capture(&tele, name, Some(&spec.program)),
-                )
-            };
-            let (out1, serial) = observe(1);
-            // Suite programs never run off the end of their instruction
-            // stream; a nonzero count means a control-flow bug.
-            debug_assert!(
-                serial.total().fetch_oob == 0,
-                "{name}: out-of-range fetches detected"
-            );
-            assert!(serial.reconciles(), "{name}: serial profile unbalanced");
-            for sm in &serial.sms {
-                assert_eq!(
-                    sm.slots,
-                    out1.cycles * u64::from(cfg.issue_width),
-                    "{name}: slot accounting diverged from cycles x issue_width"
-                );
-            }
-            for threads in [2u32, 4] {
-                let (_, parallel) = observe(threads);
-                // Per-PC hotspot tables, per-SM stall-reason counters and
-                // the occupancy timeline all merge with pure integer
-                // sums, so the whole profile is bit-identical.
-                assert_eq!(
-                    serial, parallel,
-                    "{name}: profile diverges at {threads} threads"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn memory_bound_kernel_reacts_to_memory_knobs() {
     // The memory model must be load-bearing on a real suite kernel:
     // sgemm's tiled loads overlap on shared lines (nonzero MSHR merges)
@@ -337,150 +206,115 @@ fn memory_bound_kernel_reacts_to_memory_knobs() {
 }
 
 #[test]
-fn memory_telemetry_is_bit_identical_across_threads() {
-    // The request-lifecycle channels — log2 latency histograms, the MSHR
-    // occupancy / L2 / DRAM interval timeline, and the queue-wait
-    // counters — merge with pure integer sums, so a starved memory
-    // subsystem must report bit-identical telemetry at any thread count.
-    let cfg = tight_memory_cfg();
+fn event_driven_fast_forward_is_bit_identical() {
+    // The wake calendar must be invisible in every observable: across
+    // the suite cross-section, the default and starved memory configs,
+    // {1, 4} L2 partitions and ST² off/on, the event-driven run
+    // reproduces the lockstep reference's cycles, activity counters,
+    // results memory, telemetry counters, latency histograms, interval
+    // series and per-PC profiles bit for bit.
     for name in KERNELS {
         let spec = spec_by_name(name);
-        let observe = |threads: u32| {
-            let mut mem = spec.memory.clone();
-            let mut tele = Telemetry::for_run(cfg.num_sms as usize, TelemetryConfig::default());
-            run_timed_with(
-                &spec.program,
-                spec.launch,
-                &mut mem,
-                &cfg.with_sim_threads(threads),
-                RunOptions::with_telemetry(&mut tele),
-            );
-            tele
-        };
-        let tele1 = observe(1);
-        for threads in [2u32, 4] {
-            let tele_n = observe(threads);
-            assert_eq!(
-                tele1.registry().histograms(),
-                tele_n.registry().histograms(),
-                "{name}: latency histograms diverge at {threads} threads"
-            );
-            assert_eq!(
-                tele1.mem_series().points(),
-                tele_n.mem_series().points(),
-                "{name}: memory timeline diverges at {threads} threads"
-            );
-            assert_eq!(
-                tele1.mem_occupied_cycles(),
-                tele_n.mem_occupied_cycles(),
-                "{name}: MSHR occupancy integral diverges at {threads} threads"
-            );
-            assert_eq!(
-                tele1.energy_series().points(),
-                tele_n.energy_series().points(),
-                "{name}: energy timeline diverges at {threads} threads"
-            );
-        }
-        // The starved config actually exercises the channels: fills
-        // happened and their latency distribution is observable.
-        let fill = tele1
-            .registry()
-            .histogram_by_name("mem.fill_latency")
-            .expect("fill latency histogram registered");
-        assert!(fill.count() > 0, "{name}: no fills recorded");
-        assert!(fill.p95() > 0, "{name}: fill p95 is zero under starvation");
-    }
-}
-
-#[test]
-fn event_driven_fast_forward_is_bit_identical() {
-    // The wake calendars must be invisible in every observable: the
-    // event_driven on/off × memory-calendar on/off × sim_threads ×
-    // l2_partitions matrix reproduces the same cycles, activity
-    // counters, results memory, latency histograms, memory timeline and
-    // per-PC profiles — both knobs are purely wall-clock, like
-    // `sim_threads`. (With event_driven off the memory calendar is
-    // never consulted, so only the `mc = true` leg is run there.)
-    for name in ["pathfinder", "histo_K1"] {
-        let spec = spec_by_name(name);
-        for parts in [1u32, 4] {
-            let base = tight_partitioned_cfg(parts);
-            let observe = |cfg: &GpuConfig| {
-                let mut mem = spec.memory.clone();
-                let mut tele = Telemetry::for_run(cfg.num_sms as usize, TelemetryConfig::default());
-                let out = run_timed_with(
-                    &spec.program,
-                    spec.launch,
-                    &mut mem,
-                    cfg,
-                    RunOptions::with_telemetry(&mut tele),
+        for base in [
+            GpuConfig::scaled(4),
+            tight_partitioned_cfg(1),
+            tight_partitioned_cfg(4),
+        ] {
+            for st2_on in [false, true] {
+                let cfg = if st2_on { base.with_st2() } else { base };
+                let observe = |cfg: &GpuConfig| {
+                    let mut mem = spec.memory.clone();
+                    let mut tele =
+                        Telemetry::for_run(cfg.num_sms as usize, TelemetryConfig::default());
+                    let out = run_timed_with(
+                        &spec.program,
+                        spec.launch,
+                        &mut mem,
+                        cfg,
+                        RunOptions::with_telemetry(&mut tele),
+                    );
+                    let profile = KernelProfile::capture(&tele, name, Some(&spec.program));
+                    (out, mem, tele, profile)
+                };
+                let ctx = format!(
+                    "{name}: parts={} mshr={} st2={st2_on}",
+                    cfg.l2_partitions, cfg.mshr_entries
                 );
-                let profile = KernelProfile::capture(&tele, name, Some(&spec.program));
-                (out, mem.as_bytes().to_vec(), tele, profile)
-            };
-            let (ref_out, ref_mem, ref_tele, ref_profile) =
-                observe(&base.with_event_driven(false).with_sim_threads(1));
-            for (ed, mc) in [(false, true), (true, false), (true, true)] {
-                for threads in [1u32, 2, 4] {
-                    let cfg = base
-                        .with_event_driven(ed)
-                        .with_mem_calendar(mc)
-                        .with_sim_threads(threads);
-                    let (out, mem, tele, profile) = observe(&cfg);
-                    let ctx = format!("{name}: ed={ed} mc={mc} threads={threads} parts={parts}");
-                    assert_eq!(out.cycles, ref_out.cycles, "{ctx}: cycles");
-                    assert_eq!(out.activity, ref_out.activity, "{ctx}: activity");
-                    assert_eq!(mem, ref_mem, "{ctx}: results memory");
+                let (ref_out, ref_mem, ref_tele, ref_profile) =
+                    observe(&cfg.with_event_driven(false));
+                assert_eq!(ref_out.sm_sleep_cycles, 0, "{ctx}: lockstep slept");
+                assert_eq!(ref_out.ff_wakeups, 0, "{ctx}: lockstep woke");
+                assert_eq!(ref_out.mem_skip_cycles, 0, "{ctx}: lockstep skipped");
+                let (out, mem, tele, profile) = observe(&cfg);
+                spec.verify(&mem)
+                    .unwrap_or_else(|e| panic!("{ctx}: failed verification: {e}"));
+                assert_eq!(out.cycles, ref_out.cycles, "{ctx}: cycles");
+                assert_eq!(out.activity, ref_out.activity, "{ctx}: activity");
+                assert_eq!(mem.as_bytes(), ref_mem.as_bytes(), "{ctx}: results memory");
+                assert_eq!(
+                    tele.registry().counters(),
+                    ref_tele.registry().counters(),
+                    "{ctx}: telemetry counters"
+                );
+                assert_eq!(
+                    tele.registry().histograms(),
+                    ref_tele.registry().histograms(),
+                    "{ctx}: latency histograms"
+                );
+                assert_eq!(
+                    tele.series().points(),
+                    ref_tele.series().points(),
+                    "{ctx}: accuracy/IPC series"
+                );
+                assert_eq!(
+                    tele.mem_series().points(),
+                    ref_tele.mem_series().points(),
+                    "{ctx}: memory timeline"
+                );
+                assert_eq!(
+                    tele.mem_occupied_cycles(),
+                    ref_tele.mem_occupied_cycles(),
+                    "{ctx}: MSHR occupancy integral"
+                );
+                // Parked SMs credit their slept cycles through
+                // `replay_parked`, so the integer energy timeline —
+                // SM-resident cycles included — must not see the
+                // calendar either.
+                assert_eq!(
+                    tele.energy_series().points(),
+                    ref_tele.energy_series().points(),
+                    "{ctx}: energy timeline"
+                );
+                assert_eq!(
+                    tele.energy_sm_cycles(),
+                    ref_tele.energy_sm_cycles(),
+                    "{ctx}: SM-resident cycle integral"
+                );
+                assert_eq!(tele.cycles(), ref_tele.cycles(), "{ctx}: final cycles");
+                assert_eq!(profile, ref_profile, "{ctx}: profile");
+                // The profile itself balances: every SM's slots are
+                // issued or attributed to exactly one stall reason.
+                // Suite programs never run off the end of their
+                // instruction stream.
+                assert!(profile.reconciles(), "{ctx}: profile unbalanced");
+                assert_eq!(profile.total().fetch_oob, 0, "{ctx}: out-of-range fetches");
+                for sm in &profile.sms {
                     assert_eq!(
-                        tele.registry().counters(),
-                        ref_tele.registry().counters(),
-                        "{ctx}: telemetry counters"
+                        sm.slots,
+                        out.cycles * u64::from(cfg.issue_width),
+                        "{ctx}: slot accounting diverged from cycles x issue_width"
                     );
-                    assert_eq!(
-                        tele.registry().histograms(),
-                        ref_tele.registry().histograms(),
-                        "{ctx}: latency histograms"
-                    );
-                    assert_eq!(
-                        tele.mem_series().points(),
-                        ref_tele.mem_series().points(),
-                        "{ctx}: memory timeline"
-                    );
-                    assert_eq!(
-                        tele.mem_occupied_cycles(),
-                        ref_tele.mem_occupied_cycles(),
-                        "{ctx}: MSHR occupancy integral"
-                    );
-                    // Parked SMs credit their slept cycles through
-                    // `replay_parked`, so the integer energy timeline —
-                    // SM-resident cycles included — must not see the
-                    // calendar either.
-                    assert_eq!(
-                        tele.energy_series().points(),
-                        ref_tele.energy_series().points(),
-                        "{ctx}: energy timeline"
-                    );
-                    assert_eq!(
-                        tele.energy_sm_cycles(),
-                        ref_tele.energy_sm_cycles(),
-                        "{ctx}: SM-resident cycle integral"
-                    );
-                    assert_eq!(
-                        tele.series().column("adder.accuracy"),
-                        ref_tele.series().column("adder.accuracy"),
-                        "{ctx}: accuracy series"
-                    );
-                    assert_eq!(profile, ref_profile, "{ctx}: profile");
-                    if !ed {
-                        assert_eq!(out.sm_sleep_cycles, 0, "{ctx}: slept with knob off");
-                        assert_eq!(out.ff_wakeups, 0, "{ctx}: woke with knob off");
-                    }
-                    if !ed || !mc {
-                        assert_eq!(
-                            out.mem_skip_cycles, 0,
-                            "{ctx}: memory calendar skipped with knob off"
-                        );
-                    }
+                }
+                // The starved configs actually exercise the memory
+                // channels: fills happened and their latency
+                // distribution is observable.
+                if cfg.mshr_entries == 4 {
+                    let fill = tele
+                        .registry()
+                        .histogram_by_name("mem.fill_latency")
+                        .expect("fill latency histogram registered");
+                    assert!(fill.count() > 0, "{ctx}: no fills recorded");
+                    assert!(fill.p95() > 0, "{ctx}: fill p95 is zero under starvation");
                 }
             }
         }
@@ -513,33 +347,19 @@ fn starved_config_engages_the_wake_calendar() {
 fn starved_config_engages_the_memory_calendar() {
     // Same vacuity guard for the memory side: on a starved config most
     // cycles have no due fill and no fresh request, so the calendar
-    // must actually skip drain/retire rounds — while the escape hatch
-    // (`mem_calendar = false`) reports zero skips and identical timing.
+    // must actually skip drain/retire rounds — while the lockstep
+    // reference reports zero skips and identical timing.
     let spec = spec_by_name("pathfinder");
     let cfg = tight_memory_cfg();
-    assert!(cfg.mem_calendar, "memory calendar must default on");
-    for threads in [1u32, 2] {
-        let (on, _) = timed(&spec, &cfg.with_sim_threads(threads));
-        assert!(
-            on.mem_skip_cycles > 0,
-            "threads={threads}: starved run never skipped a drain round"
-        );
-        let (off, _) = timed(
-            &spec,
-            &cfg.with_mem_calendar(false).with_sim_threads(threads),
-        );
-        assert_eq!(
-            off.mem_skip_cycles, 0,
-            "threads={threads}: knob off skipped"
-        );
-        assert_eq!(on.cycles, off.cycles, "threads={threads}: timing changed");
-        assert_eq!(
-            on.activity, off.activity,
-            "threads={threads}: activity changed"
-        );
-        assert_eq!(on.sm_sleep_cycles, off.sm_sleep_cycles);
-        assert_eq!(on.ff_wakeups, off.ff_wakeups);
-    }
+    let (on, _) = timed(&spec, &cfg);
+    assert!(
+        on.mem_skip_cycles > 0,
+        "starved run never skipped a drain round"
+    );
+    let (off, _) = timed(&spec, &cfg.with_event_driven(false));
+    assert_eq!(off.mem_skip_cycles, 0, "lockstep skipped");
+    assert_eq!(on.cycles, off.cycles, "timing changed");
+    assert_eq!(on.activity, off.activity, "activity changed");
 }
 
 #[test]
@@ -552,80 +372,32 @@ fn sleep_accounting_is_exact_at_termination_while_parked() {
     // SM-resident energy integral each must equal exactly
     // `num_sms × cycles`.
     let spec = spec_by_name("pathfinder");
-    for cfg in [
-        tight_memory_cfg(),
-        tight_memory_cfg().with_mem_calendar(false),
-    ] {
-        for threads in [1u32, 2] {
-            let cfg = cfg.with_sim_threads(threads);
-            let mut mem = spec.memory.clone();
-            let mut tele = Telemetry::for_run(cfg.num_sms as usize, TelemetryConfig::default());
-            let out = run_timed_with(
-                &spec.program,
-                spec.launch,
-                &mut mem,
-                &cfg,
-                RunOptions::with_telemetry(&mut tele),
-            );
-            let ctx = format!("mc={} threads={threads}", cfg.mem_calendar);
-            assert!(
-                out.sm_sleep_cycles > 0,
-                "{ctx}: run never parked an SM — the exit replay is untested"
-            );
-            let expect = u64::from(cfg.num_sms) * out.cycles;
-            assert_eq!(
-                out.activity.active_sm_cycles + out.activity.idle_sm_cycles,
-                expect,
-                "{ctx}: driver activity split drifted from num_sms × cycles"
-            );
-            assert_eq!(
-                tele.energy_sm_cycles(),
-                expect,
-                "{ctx}: SM-resident energy integral drifted from num_sms × cycles"
-            );
-        }
-    }
-}
-
-#[test]
-fn parallel_telemetry_matches_serial_aggregates() {
-    for name in KERNELS {
-        let spec = spec_by_name(name);
-        let cfg = GpuConfig::scaled(4).with_st2();
-        let observe = |threads: u32| {
-            let mut mem = spec.memory.clone();
-            let mut tele = Telemetry::for_run(cfg.num_sms as usize, TelemetryConfig::default());
-            let out = run_timed_with(
-                &spec.program,
-                spec.launch,
-                &mut mem,
-                &cfg.with_sim_threads(threads),
-                RunOptions::with_telemetry(&mut tele),
-            );
-            (out, tele)
-        };
-        let (out1, tele1) = observe(1);
-        let (out2, tele2) = observe(2);
-        assert_eq!(out1.cycles, out2.cycles, "{name}: cycles diverge");
-        assert_eq!(out1.activity, out2.activity, "{name}: activity diverges");
-        assert_eq!(
-            tele1.registry().counters(),
-            tele2.registry().counters(),
-            "{name}: telemetry counters diverge"
+    for parts in [1u32, 4] {
+        let cfg = tight_partitioned_cfg(parts);
+        let mut mem = spec.memory.clone();
+        let mut tele = Telemetry::for_run(cfg.num_sms as usize, TelemetryConfig::default());
+        let out = run_timed_with(
+            &spec.program,
+            spec.launch,
+            &mut mem,
+            &cfg,
+            RunOptions::with_telemetry(&mut tele),
         );
-        // The adder-accuracy series is recomputed from integer-valued op
-        // and mispredict sums at the merge, so it is bit-exact. (The IPC
-        // column is only mathematically equal — a sum of per-SM ratios —
-        // and is deliberately not compared bit-for-bit here.)
+        let ctx = format!("parts={parts}");
+        assert!(
+            out.sm_sleep_cycles > 0,
+            "{ctx}: run never parked an SM — the exit replay is untested"
+        );
+        let expect = u64::from(cfg.num_sms) * out.cycles;
         assert_eq!(
-            tele1.series().column("adder.accuracy"),
-            tele2.series().column("adder.accuracy"),
-            "{name}: accuracy series diverges"
+            out.activity.active_sm_cycles + out.activity.idle_sm_cycles,
+            expect,
+            "{ctx}: driver activity split drifted from num_sms × cycles"
         );
         assert_eq!(
-            tele1.cycles(),
-            tele2.cycles(),
-            "{name}: final cycles diverge"
+            tele.energy_sm_cycles(),
+            expect,
+            "{ctx}: SM-resident energy integral drifted from num_sms × cycles"
         );
     }
 }

@@ -1,6 +1,6 @@
 //! Cross-crate energy telemetry: the integer energy-event timeline must
-//! be **bit-identical** across the whole determinism matrix (threads ×
-//! partitions × event-driven), conserve its events against the run's
+//! be **bit-identical** across the whole determinism matrix (partitions
+//! × event-driven/lockstep), conserve its events against the run's
 //! activity counters, and — once priced by the calibrated model — move
 //! in the right direction when the memory knobs move.
 //!
@@ -55,25 +55,24 @@ fn column_total(tele: &Telemetry, col: usize) -> u64 {
 
 #[test]
 fn energy_timeline_is_bit_identical_across_the_matrix() {
-    // {1,2,4} threads × {1,4} partitions × event-driven on/off: the
-    // energy timeline merges as pure integer sums, so every cell within
-    // a partition count reproduces the serial step-everything reference
-    // bit for bit.
+    // {1,4} partitions × ST² off/on: the energy timeline is pure
+    // integer counts, so the event-driven run reproduces the lockstep
+    // reference bit for bit.
     for name in ["pathfinder", "histo_K1"] {
         let spec = spec_by_name(name);
         for parts in [1u32, 4] {
-            let base = tight_partitioned_cfg(parts);
-            let (_, ref_tele) = observe(&spec, &base.with_event_driven(false).with_sim_threads(1));
-            for ed in [false, true] {
-                for threads in [1u32, 2, 4] {
-                    let cfg = base.with_event_driven(ed).with_sim_threads(threads);
-                    let (_, tele) = observe(&spec, &cfg);
-                    assert_eq!(
-                        tele.energy_series().points(),
-                        ref_tele.energy_series().points(),
-                        "{name}: energy timeline diverges at ed={ed} threads={threads} parts={parts}"
-                    );
+            for st2_on in [false, true] {
+                let mut base = tight_partitioned_cfg(parts);
+                if st2_on {
+                    base = base.with_st2();
                 }
+                let (_, ref_tele) = observe(&spec, &base.with_event_driven(false));
+                let (_, tele) = observe(&spec, &base);
+                assert_eq!(
+                    tele.energy_series().points(),
+                    ref_tele.energy_series().points(),
+                    "{name}: energy timeline diverges at parts={parts} st2={st2_on}"
+                );
             }
         }
     }
@@ -89,11 +88,11 @@ fn energy_timeline_conserves_run_totals() {
     for name in ["pathfinder", "histo_K1", "sgemm"] {
         let spec = spec_by_name(name);
         for parts in [1u32, 4] {
-            for threads in [1u32, 4] {
-                let cfg = tight_partitioned_cfg(parts).with_sim_threads(threads);
+            for ed in [false, true] {
+                let cfg = tight_partitioned_cfg(parts).with_event_driven(ed);
                 let (out, tele) = observe(&spec, &cfg);
                 let a = &out.activity;
-                let ctx = format!("{name} parts={parts} threads={threads}");
+                let ctx = format!("{name} parts={parts} ed={ed}");
                 assert_eq!(column_total(&tele, 0), a.dram_accesses, "{ctx}: DRAM fills");
                 assert_eq!(column_total(&tele, 2), a.mshr_merges, "{ctx}: MSHR merges");
                 assert_eq!(column_total(&tele, 3), a.xbar_hops, "{ctx}: crossbar hops");

@@ -1,12 +1,9 @@
 //! Cross-crate integration for the warp-stall attribution profiler:
 //! issue-slot accounting reconciles exactly against the clock at every
-//! issue width, the per-PC hotspot table merges order-independently, and
-//! the JSON kernel profile round-trips losslessly from a real run.
+//! issue width, and the JSON kernel profile round-trips losslessly from a
+//! real run.
 
-use proptest::prelude::*;
 use st2::prelude::*;
-use st2::telemetry::profile::{ALL_STALL_REASONS, NUM_STALL_REASONS};
-use st2::telemetry::CycleProfile;
 
 fn profiled_run(spec: &KernelSpec, cfg: &GpuConfig) -> (TimedOutput, KernelProfile) {
     let mut tele = Telemetry::for_run(cfg.num_sms as usize, TelemetryConfig::default());
@@ -107,54 +104,4 @@ fn kernel_profile_json_round_trips_from_a_real_run() {
     assert!(text.contains(&format!("kernel profile: {}", spec.name)));
     assert!(text.contains("stall breakdown"));
     assert!(profile.pcs.iter().any(|r| r.label.is_some()));
-}
-
-proptest! {
-    // Absorbing per-SM child collectors must be order-independent: any
-    // permutation of the same children yields bit-identical SM profiles,
-    // per-PC tables and occupancy rows (the parallel driver's merge
-    // contract).
-    #[test]
-    fn pc_table_merge_is_order_independent(
-        cells in prop::collection::vec(
-            (0usize..4, 0u32..8, 0usize..NUM_STALL_REASONS, 1u64..4, 0u32..3),
-            1..32,
-        ),
-        rotate in 0usize..4,
-    ) {
-        let build = |order_rot: usize| {
-            let mut children: Vec<(usize, st2::prelude::ProfileCollector)> = (0..4)
-                .map(|sm| (sm, st2::prelude::ProfileCollector::new(1, 64)))
-                .collect();
-            for &(sm, pc, reason, dt, issued) in &cells {
-                let mut cp = CycleProfile {
-                    issued,
-                    active_warps: issued + 1,
-                    eligible_warps: issued,
-                    ..CycleProfile::default()
-                };
-                for i in 0..issued {
-                    cp.pc_issued.push(pc + i);
-                }
-                let r = ALL_STALL_REASONS[reason];
-                cp.slot_stalls[r.index()] += 1;
-                cp.pc_stalls.push((pc, r));
-                children[sm].1.commit(0, dt, &cp);
-            }
-            for (_, c) in children.iter_mut() {
-                c.snapshot(1024);
-            }
-            children.rotate_left(order_rot);
-            let mut parent = st2::prelude::ProfileCollector::new(4, 64);
-            for (sm, c) in &children {
-                parent.absorb(c, *sm);
-            }
-            parent
-        };
-        let a = build(0);
-        let b = build(rotate);
-        prop_assert_eq!(a.sms(), b.sms());
-        prop_assert_eq!(a.pcs_sorted(), b.pcs_sorted());
-        prop_assert_eq!(a.series().points(), b.series().points());
-    }
 }
