@@ -408,6 +408,29 @@ mod tests {
     }
 
     #[test]
+    fn sim_threads_resolution() {
+        // The pinned thread count: 1 in every preset, and every other
+        // value is rejected rather than silently run on one thread.
+        for c in [
+            GpuConfig::titan_v(),
+            GpuConfig::titan_v_full(),
+            GpuConfig::scaled(4),
+            GpuConfig::scaled(1),
+        ] {
+            assert_eq!(c.sim_threads, 1);
+            assert!(c.validate().is_ok());
+            assert!(c.with_sim_threads(1).validate().is_ok());
+            for threads in [0, 2, 99] {
+                let err = c
+                    .with_sim_threads(threads)
+                    .validate()
+                    .expect_err("only one simulation thread");
+                assert!(err.contains("job level"), "{threads}: {err}");
+            }
+        }
+    }
+
+    #[test]
     fn memory_knobs_scale_and_zero_is_rejected() {
         let full = GpuConfig::titan_v();
         assert_eq!(full.mshr_entries, 64);
@@ -416,16 +439,6 @@ mod tests {
         assert!(small.l2_bw < full.l2_bw);
         assert!(small.dram_bw >= 1);
         assert_eq!(small.with_dram_bw(7).dram_bw, 7);
-        // The pinned thread count: 1 by default, every other value is
-        // rejected rather than silently run on one thread.
-        assert_eq!(small.sim_threads, 1);
-        assert_eq!(GpuConfig::titan_v_full().sim_threads, 1);
-        assert!(small.validate().is_ok());
-        let err = small
-            .with_sim_threads(2)
-            .validate()
-            .expect_err("two threads");
-        assert!(err.contains("job level"), "{err}");
         // Zero-valued knobs are no longer silently clamped to 1: the
         // builders store them verbatim and `validate` rejects them with
         // the knob's name in the message.
@@ -467,6 +480,27 @@ mod tests {
         assert!(GpuConfig::scaled(4).event_driven, "inherited via scaled");
         assert!(!GpuConfig::scaled(4).with_event_driven(false).event_driven);
         assert!(super::default_event_driven());
+    }
+
+    #[test]
+    fn mem_calendar_defaults_on() {
+        // The memory side of the wake calendar has no switch of its own:
+        // it rides on `event_driven`, so it is on in every preset and off
+        // only in the lockstep reference.
+        for c in [
+            GpuConfig::titan_v(),
+            GpuConfig::titan_v_full(),
+            GpuConfig::scaled(4),
+        ] {
+            assert!(c.event_driven);
+            let shown = format!("{c:?}");
+            assert!(shown.contains("event_driven: true"), "{shown}");
+            assert!(
+                !shown.contains("calendar"),
+                "second calendar switch: {shown}"
+            );
+            assert!(!c.with_event_driven(false).event_driven);
+        }
     }
 
     #[test]

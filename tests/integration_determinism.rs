@@ -7,6 +7,12 @@
 //! This is the contract that makes `event_driven` a pure wall-clock knob:
 //! every figure and table of the reproduction runs on the fast path
 //! without a tolerance budget.
+//!
+//! One timed run is serial; parallelism lives at the job level, with
+//! independent kernels or configs on separate host threads. The
+//! `*_across_threads` / `parallel_*` tests pin that contract: the same
+//! jobs run on 2 or 4 threads reproduce their serial results bit for
+//! bit, so concurrent runs share no state.
 
 use st2::prelude::*;
 
@@ -399,5 +405,245 @@ fn sleep_accounting_is_exact_at_termination_while_parked() {
             expect,
             "{ctx}: SM-resident energy integral drifted from num_sms × cycles"
         );
+    }
+}
+
+/// One timed run with telemetry on: the output, the results memory and
+/// the collector, plus the profile captured from it.
+struct Run {
+    out: TimedOutput,
+    mem: MemImage,
+    tele: Telemetry,
+    profile: KernelProfile,
+}
+
+fn observe(spec: &KernelSpec, cfg: &GpuConfig) -> Run {
+    let mut mem = spec.memory.clone();
+    let mut tele = Telemetry::for_run(cfg.num_sms as usize, TelemetryConfig::default());
+    let out = run_timed_with(
+        &spec.program,
+        spec.launch,
+        &mut mem,
+        cfg,
+        RunOptions::with_telemetry(&mut tele),
+    );
+    let profile = KernelProfile::capture(&tele, spec.name, Some(&spec.program));
+    Run {
+        out,
+        mem,
+        tele,
+        profile,
+    }
+}
+
+/// Runs every `(kernel, config)` job on `threads` host threads, thread
+/// `t` taking jobs `t, t + threads, ...` — the job-level parallelism the
+/// suite binaries use (one thread per kernel). Results come back in job
+/// order, so `threads = 1` is the serial reference.
+fn on_threads(threads: usize, jobs: &[(KernelSpec, GpuConfig)]) -> Vec<Run> {
+    let mut runs: Vec<(usize, Run)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                s.spawn(move || {
+                    (t..jobs.len())
+                        .step_by(threads)
+                        .map(|i| (i, observe(&jobs[i].0, &jobs[i].1)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("simulation job panicked"))
+            .collect()
+    });
+    runs.sort_by_key(|(i, _)| *i);
+    runs.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Every suite cross-section kernel under every config in `cfgs`.
+fn jobs(cfgs: &[GpuConfig]) -> Vec<(KernelSpec, GpuConfig)> {
+    KERNELS
+        .iter()
+        .flat_map(|name| cfgs.iter().map(move |cfg| (spec_by_name(name), *cfg)))
+        .collect()
+}
+
+fn job_ctx(job: &(KernelSpec, GpuConfig), threads: usize) -> String {
+    let (spec, cfg) = job;
+    format!(
+        "{}: parts={} mshr={} st2={} threads={threads}",
+        spec.name,
+        cfg.l2_partitions,
+        cfg.mshr_entries,
+        cfg.speculation.is_some()
+    )
+}
+
+#[test]
+fn partitioned_runs_are_bit_identical_across_threads() {
+    // The partitions x threads matrix: one timed run is serial, so
+    // running the partitioned configs concurrently on 2 or 4 host
+    // threads must share no state between runs — every run reproduces
+    // its serial cycles, activity and results memory.
+    let jobs = jobs(&[
+        tight_partitioned_cfg(1),
+        tight_partitioned_cfg(2),
+        tight_partitioned_cfg(4),
+    ]);
+    let serial = on_threads(1, &jobs);
+    for (job, run) in jobs.iter().zip(&serial) {
+        // Partitioned results still satisfy the CPU reference.
+        job.0
+            .verify(&run.mem)
+            .unwrap_or_else(|e| panic!("{}: failed verification: {e}", job_ctx(job, 1)));
+    }
+    for threads in [2, 4] {
+        for ((job, s), p) in jobs.iter().zip(&serial).zip(on_threads(threads, &jobs)) {
+            let ctx = job_ctx(job, threads);
+            assert_eq!(s.out.cycles, p.out.cycles, "{ctx}: cycles");
+            assert_eq!(s.out.activity, p.out.activity, "{ctx}: activity");
+            assert_eq!(s.mem.as_bytes(), p.mem.as_bytes(), "{ctx}: results memory");
+        }
+    }
+}
+
+#[test]
+fn parallel_timed_runs_are_bit_identical_to_serial() {
+    // Job-level parallelism over the default, ST² and starved configs:
+    // concurrent runs reproduce the serial cycles, activity counters,
+    // sleep/skip counts and results memory, and satisfy the CPU
+    // reference.
+    let jobs = jobs(&[
+        GpuConfig::scaled(4),
+        GpuConfig::scaled(4).with_st2(),
+        tight_memory_cfg(),
+    ]);
+    let serial = on_threads(1, &jobs);
+    for threads in [2, 4] {
+        for ((job, s), p) in jobs.iter().zip(&serial).zip(on_threads(threads, &jobs)) {
+            let ctx = job_ctx(job, threads);
+            assert_eq!(s.out.cycles, p.out.cycles, "{ctx}: cycles");
+            assert_eq!(s.out.activity, p.out.activity, "{ctx}: activity");
+            assert_eq!(s.out.sm_sleep_cycles, p.out.sm_sleep_cycles, "{ctx}: sleep");
+            assert_eq!(s.out.mem_skip_cycles, p.out.mem_skip_cycles, "{ctx}: skips");
+            assert_eq!(s.mem.as_bytes(), p.mem.as_bytes(), "{ctx}: results memory");
+            job.0
+                .verify(&p.mem)
+                .unwrap_or_else(|e| panic!("{ctx}: failed verification: {e}"));
+        }
+    }
+}
+
+#[test]
+fn parallel_profiles_are_bit_identical_to_serial() {
+    // Per-PC hotspot tables, per-SM stall-reason counters and the
+    // occupancy timeline of a run are untouched by runs on other
+    // threads: the whole profile is bit-identical to the serial one.
+    let jobs = jobs(&[
+        GpuConfig::scaled(4),
+        GpuConfig::scaled(4).with_st2(),
+        tight_memory_cfg(),
+    ]);
+    let serial = on_threads(1, &jobs);
+    for (job, s) in jobs.iter().zip(&serial) {
+        let ctx = job_ctx(job, 1);
+        // Suite programs never run off the end of their instruction
+        // stream; a nonzero count means a control-flow bug.
+        assert_eq!(
+            s.profile.total().fetch_oob,
+            0,
+            "{ctx}: out-of-range fetches"
+        );
+        assert!(s.profile.reconciles(), "{ctx}: serial profile unbalanced");
+        for sm in &s.profile.sms {
+            assert_eq!(
+                sm.slots,
+                s.out.cycles * u64::from(job.1.issue_width),
+                "{ctx}: slot accounting diverged from cycles x issue_width"
+            );
+        }
+    }
+    for threads in [2, 4] {
+        for ((job, s), p) in jobs.iter().zip(&serial).zip(on_threads(threads, &jobs)) {
+            assert_eq!(s.profile, p.profile, "{}: profile", job_ctx(job, threads));
+        }
+    }
+}
+
+#[test]
+fn memory_telemetry_is_bit_identical_across_threads() {
+    // The request-lifecycle channels — log2 latency histograms, the MSHR
+    // occupancy / L2 / DRAM interval timeline, the queue-wait counters
+    // and the energy timeline — of a starved memory subsystem are
+    // bit-identical whether its runs go serially or concurrently.
+    let jobs = jobs(&[tight_memory_cfg()]);
+    let serial = on_threads(1, &jobs);
+    for threads in [2, 4] {
+        for ((job, s), p) in jobs.iter().zip(&serial).zip(on_threads(threads, &jobs)) {
+            let ctx = job_ctx(job, threads);
+            assert_eq!(
+                s.tele.registry().histograms(),
+                p.tele.registry().histograms(),
+                "{ctx}: latency histograms"
+            );
+            assert_eq!(
+                s.tele.mem_series().points(),
+                p.tele.mem_series().points(),
+                "{ctx}: memory timeline"
+            );
+            assert_eq!(
+                s.tele.mem_occupied_cycles(),
+                p.tele.mem_occupied_cycles(),
+                "{ctx}: MSHR occupancy integral"
+            );
+            assert_eq!(
+                s.tele.energy_series().points(),
+                p.tele.energy_series().points(),
+                "{ctx}: energy timeline"
+            );
+        }
+    }
+    // The starved config actually exercises the channels: fills
+    // happened and their latency distribution is observable.
+    for (job, s) in jobs.iter().zip(&serial) {
+        let ctx = job_ctx(job, 1);
+        let fill = s
+            .tele
+            .registry()
+            .histogram_by_name("mem.fill_latency")
+            .expect("fill latency histogram registered");
+        assert!(fill.count() > 0, "{ctx}: no fills recorded");
+        assert!(fill.p95() > 0, "{ctx}: fill p95 is zero under starvation");
+    }
+}
+
+#[test]
+fn parallel_telemetry_matches_serial_aggregates() {
+    // Each run owns its collector, so concurrent ST² runs report the
+    // serial telemetry counters, the full accuracy/IPC series (no merge
+    // is involved, so even the IPC column is bit-exact) and final cycle.
+    let jobs = jobs(&[GpuConfig::scaled(4).with_st2()]);
+    let serial = on_threads(1, &jobs);
+    for ((job, s), p) in jobs.iter().zip(&serial).zip(on_threads(2, &jobs)) {
+        let ctx = job_ctx(job, 2);
+        assert_eq!(s.out.cycles, p.out.cycles, "{ctx}: cycles");
+        assert_eq!(s.out.activity, p.out.activity, "{ctx}: activity");
+        assert_eq!(
+            s.tele.registry().counters(),
+            p.tele.registry().counters(),
+            "{ctx}: telemetry counters"
+        );
+        assert_eq!(
+            s.tele.series().column("adder.accuracy"),
+            p.tele.series().column("adder.accuracy"),
+            "{ctx}: accuracy series"
+        );
+        assert_eq!(
+            s.tele.series().points(),
+            p.tele.series().points(),
+            "{ctx}: accuracy/IPC series"
+        );
+        assert_eq!(s.tele.cycles(), p.tele.cycles(), "{ctx}: final cycles");
     }
 }
