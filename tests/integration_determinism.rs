@@ -56,83 +56,36 @@ fn tight_partitioned_cfg(parts: u32) -> GpuConfig {
         .with_l2_partitions(parts)
 }
 
-#[test]
-fn single_partition_reproduces_pre_crossbar_counters() {
-    // Golden equivalence: with `l2_partitions = 1` the crossbar is
-    // bypassed and the sharded memory subsystem must reproduce the
-    // monolithic pre-refactor model bit-for-bit. These constants were
-    // captured on the starved config before the partition refactor
-    // landed; a drift here means the P=1 degenerate path changed
-    // behaviour, not just shape.
-    struct Golden {
-        name: &'static str,
-        cycles: u64,
-        warp_instructions: u64,
-        l1_accesses: u64,
-        l1_misses: u64,
-        l2_accesses: u64,
-        l2_misses: u64,
-        dram_accesses: u64,
-        mshr_merges: u64,
-        mem_throttle: u64,
-        bw_starved_cycles: u64,
-        noc_flits: u64,
-        fill_count: u64,
-        fill_p50: u64,
-        fill_p95: u64,
-        fill_max: u64,
-        mshr_occupied_cycles: u64,
-        mshr_wait_cycles: u64,
-    }
-    let goldens = [
-        Golden {
-            name: "pathfinder",
-            cycles: 8975,
-            warp_instructions: 2240,
-            l1_accesses: 68,
-            l1_misses: 68,
-            l2_accesses: 68,
-            l2_misses: 68,
-            dram_accesses: 68,
-            mshr_merges: 0,
-            mem_throttle: 0,
-            bw_starved_cycles: 38,
-            noc_flits: 340,
-            fill_count: 68,
-            fill_p50: 423,
-            fill_p95: 423,
-            fill_max: 423,
-            mshr_occupied_cycles: 26928,
-            mshr_wait_cycles: 0,
-        },
-        Golden {
-            name: "histo_K1",
-            cycles: 43200,
-            warp_instructions: 1956,
-            l1_accesses: 8320,
-            l1_misses: 384,
-            l2_accesses: 384,
-            l2_misses: 384,
-            dram_accesses: 384,
-            mshr_merges: 0,
-            mem_throttle: 654,
-            bw_starved_cycles: 38,
-            noc_flits: 1920,
-            fill_count: 384,
-            fill_p50: 1023,
-            fill_p95: 3778,
-            fill_max: 3778,
-            mshr_occupied_cycles: 161323,
-            mshr_wait_cycles: 249419,
-        },
-    ];
-    let cfg = tight_partitioned_cfg(1);
-    assert_eq!(
-        cfg,
-        tight_memory_cfg().with_l2_partitions(1),
-        "tight_partitioned_cfg(1) must equal the pre-refactor starved config"
-    );
-    for g in &goldens {
+/// Hard-coded counters of one kernel on one starved config: the
+/// activity, fill-latency histogram, MSHR occupancy integral and stage
+/// waits a run must reproduce exactly.
+struct Golden {
+    name: &'static str,
+    cycles: u64,
+    warp_instructions: u64,
+    l1_accesses: u64,
+    l1_misses: u64,
+    l2_accesses: u64,
+    l2_misses: u64,
+    dram_accesses: u64,
+    mshr_merges: u64,
+    mem_throttle: u64,
+    bw_starved_cycles: u64,
+    noc_flits: u64,
+    fill_count: u64,
+    fill_p50: u64,
+    fill_p95: u64,
+    fill_max: u64,
+    mshr_occupied_cycles: u64,
+    mshr_wait_cycles: u64,
+    xbar_hops: u64,
+    xbar_wait_cycles: u64,
+}
+
+/// Runs every golden's kernel on `cfg` with telemetry on and checks each
+/// pinned counter.
+fn assert_goldens(cfg: &GpuConfig, goldens: &[Golden]) {
+    for g in goldens {
         let spec = spec_by_name(g.name);
         let mut mem = spec.memory.clone();
         let mut tele = Telemetry::for_run(cfg.num_sms as usize, TelemetryConfig::default());
@@ -140,10 +93,10 @@ fn single_partition_reproduces_pre_crossbar_counters() {
             &spec.program,
             spec.launch,
             &mut mem,
-            &cfg,
+            cfg,
             RunOptions::with_telemetry(&mut tele),
         );
-        let name = g.name;
+        let name = format!("{} parts={}", g.name, cfg.l2_partitions);
         let a = &out.activity;
         assert_eq!(out.cycles, g.cycles, "{name}: cycles");
         assert_eq!(a.warp_instructions, g.warp_instructions, "{name}: insts");
@@ -159,9 +112,10 @@ fn single_partition_reproduces_pre_crossbar_counters() {
             "{name}: bw_starved_cycles"
         );
         assert_eq!(a.noc_flits, g.noc_flits, "{name}: noc_flits");
+        assert_eq!(a.xbar_hops, g.xbar_hops, "{name}: xbar_hops");
         assert_eq!(
-            a.xbar_wait_cycles, 0,
-            "{name}: single partition must never queue at the crossbar"
+            a.xbar_wait_cycles, g.xbar_wait_cycles,
+            "{name}: xbar_wait_cycles"
         );
         let r = tele.registry();
         let fill = r
@@ -183,10 +137,135 @@ fn single_partition_reproduces_pre_crossbar_counters() {
         );
         assert_eq!(
             r.counter_by_name("mem.xbar_wait_cycles"),
-            Some(0),
-            "{name}: xbar_wait_cycles"
+            Some(g.xbar_wait_cycles),
+            "{name}: telemetry xbar_wait_cycles"
         );
     }
+}
+
+#[test]
+fn single_partition_reproduces_pre_crossbar_counters() {
+    // Golden equivalence: with `l2_partitions = 1` the crossbar is
+    // bypassed (no hops, no port waits) and the sharded memory
+    // subsystem must reproduce the monolithic model bit-for-bit. These
+    // constants were captured on the starved config before the
+    // partition refactor landed; a drift here means the P=1 degenerate
+    // path changed behaviour, not just shape.
+    let cfg = tight_partitioned_cfg(1);
+    assert_eq!(
+        cfg,
+        tight_memory_cfg().with_l2_partitions(1),
+        "tight_partitioned_cfg(1) must equal the pre-refactor starved config"
+    );
+    assert_goldens(
+        &cfg,
+        &[
+            Golden {
+                name: "pathfinder",
+                cycles: 8975,
+                warp_instructions: 2240,
+                l1_accesses: 68,
+                l1_misses: 68,
+                l2_accesses: 68,
+                l2_misses: 68,
+                dram_accesses: 68,
+                mshr_merges: 0,
+                mem_throttle: 0,
+                bw_starved_cycles: 38,
+                noc_flits: 340,
+                fill_count: 68,
+                fill_p50: 423,
+                fill_p95: 423,
+                fill_max: 423,
+                mshr_occupied_cycles: 26928,
+                mshr_wait_cycles: 0,
+                xbar_hops: 0,
+                xbar_wait_cycles: 0,
+            },
+            Golden {
+                name: "histo_K1",
+                cycles: 43200,
+                warp_instructions: 1956,
+                l1_accesses: 8320,
+                l1_misses: 384,
+                l2_accesses: 384,
+                l2_misses: 384,
+                dram_accesses: 384,
+                mshr_merges: 0,
+                mem_throttle: 654,
+                bw_starved_cycles: 38,
+                noc_flits: 1920,
+                fill_count: 384,
+                fill_p50: 1023,
+                fill_p95: 3778,
+                fill_max: 3778,
+                mshr_occupied_cycles: 161323,
+                mshr_wait_cycles: 249419,
+                xbar_hops: 0,
+                xbar_wait_cycles: 0,
+            },
+        ],
+    );
+}
+
+#[test]
+fn four_partitions_reproduce_pinned_counters() {
+    // The multi-partition golden: four address-sliced partitions, each
+    // with one MSHR entry per SM and one L2/DRAM slot per cycle, so every
+    // fill crosses the crossbar and the per-partition MSHR slices
+    // throttle issue. The P=1 golden cannot see a drift in partition
+    // routing, per-partition drain order or crossbar accounting; these
+    // constants can. Captured before the memory round was restructured
+    // into a direct per-request walk over the partitions.
+    assert_goldens(
+        &tight_partitioned_cfg(4),
+        &[
+            Golden {
+                name: "pathfinder",
+                cycles: 16114,
+                warp_instructions: 2240,
+                l1_accesses: 68,
+                l1_misses: 68,
+                l2_accesses: 68,
+                l2_misses: 68,
+                dram_accesses: 68,
+                mshr_merges: 0,
+                mem_throttle: 540,
+                bw_starved_cycles: 0,
+                noc_flits: 340,
+                fill_count: 68,
+                fill_p50: 420,
+                fill_p95: 420,
+                fill_max: 420,
+                mshr_occupied_cycles: 27724,
+                mshr_wait_cycles: 0,
+                xbar_hops: 68,
+                xbar_wait_cycles: 0,
+            },
+            Golden {
+                name: "histo_K1",
+                cycles: 100899,
+                warp_instructions: 1956,
+                l1_accesses: 8320,
+                l1_misses: 384,
+                l2_accesses: 384,
+                l2_misses: 384,
+                dram_accesses: 384,
+                mshr_merges: 0,
+                mem_throttle: 1520,
+                bw_starved_cycles: 0,
+                noc_flits: 1920,
+                fill_count: 384,
+                fill_p50: 511,
+                fill_p95: 4095,
+                fill_max: 5460,
+                mshr_occupied_cycles: 161280,
+                mshr_wait_cycles: 262080,
+                xbar_hops: 384,
+                xbar_wait_cycles: 0,
+            },
+        ],
+    );
 }
 
 #[test]
