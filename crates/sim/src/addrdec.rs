@@ -11,12 +11,13 @@
 //! of the line index into the partition choice, so strided and
 //! row-major sweeps spread near-uniformly (see the module tests).
 //!
-//! With one partition the decoder is the constant function `0` and the
-//! hierarchy degenerates to the legacy monolithic L2.
+//! With one partition the decoder is the constant function `0`: a
+//! single L2 with no crossbar.
 
 /// Maps line addresses to partition indices. Cheap to copy — each SM
-/// core carries one so it can decrement the right per-partition MSHR
-/// credit at issue time without touching shared state.
+/// core carries one and decodes every queued request once, at issue:
+/// the partition it picks is charged the MSHR credit and later serves
+/// the access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressDecoder {
     line_shift: u32,

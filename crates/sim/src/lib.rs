@@ -21,10 +21,11 @@
 //! The timed mode is layered: [`sm::SmCore`] is a self-contained per-SM
 //! core (scheduler, scoreboard, pipes, ST² speculation) that reads and
 //! writes the global [`st2_isa::MemImage`] directly and queues its cache
-//! transactions on a [`memory::MemInterface`]; [`timed`] is the one
-//! serial driver that owns block dispatch, the shared
-//! [`memory::MemoryHierarchy`] (sharded into [`memory::Partition`] banks
-//! by [`addrdec::AddressDecoder`]), and the global clock. Its
+//! transactions, each decoded once to its L2 partition by an
+//! [`addrdec::AddressDecoder`], on a request list it owns; [`timed`] is
+//! the one serial driver that owns block dispatch, the shared memory
+//! hierarchy (a [`memory::Partition`] per L2 slice), and the global
+//! clock. Its
 //! event-driven wake calendar ([`GpuConfig::event_driven`]) is
 //! **bit-identical** to the lockstep reference path. Parallelism belongs
 //! at the job level: run independent kernels or configs on separate
@@ -46,12 +47,8 @@ pub mod trace;
 
 pub use addrdec::AddressDecoder;
 pub use config::{GpuConfig, SchedulerKind};
-pub use engine::{
-    run_functional, run_functional_with, run_functional_with_telemetry, FunctionalOptions,
-    FunctionalOutput,
-};
-pub use memory::{MemInterface, RequestQueue};
+pub use engine::{run_functional, run_functional_with, FunctionalOptions, FunctionalOutput};
 pub use sm::{CycleReport, SmCore};
-pub use stats::{ActivityCounters, InstMix, SimStats};
-pub use timed::{run_timed, run_timed_with, run_timed_with_telemetry, RunOptions, TimedOutput};
+pub use stats::{ActivityCounters, InstMix};
+pub use timed::{run_timed, run_timed_with, RunOptions, TimedOutput};
 pub use trace::ValueTrace;

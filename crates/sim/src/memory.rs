@@ -12,21 +12,22 @@
 //! ([`st2_telemetry::StallReason::MemThrottle`] in the profiler).
 //!
 //! The hierarchy is sharded into [`GpuConfig::l2_partitions`]
-//! independent [`Partition`]s selected by an
-//! [`crate::addrdec::AddressDecoder`] (XOR-folded line-address hash).
-//! Each partition owns an address slice of every structure a request
-//! touches after decode — per-SM L1 bank and MSHR file slices, an L2
-//! bank, its own L2/DRAM bandwidth arbiters, and per-SM crossbar
-//! injection ports — so two requests routed to different partitions
-//! share **no** mutable state. That disjointness makes the drain order
-//! across partitions irrelevant ([`Partition::access`] is pure
-//! per-partition work) while the per-SM completion phase
-//! ([`crate::sm::SmCore::complete_memory`]) replays counter and
-//! telemetry updates in deterministic (SM-index, issue) order. With
-//! one partition, the model degenerates to the legacy monolithic L2:
-//! same geometry, no crossbar, bit-identical timing.
+//! independent [`Partition`]s ([`Partition::build_all`]). The issuing
+//! SM core decodes each coalesced line to its partition with an
+//! [`crate::addrdec::AddressDecoder`] (XOR-folded line-address hash)
+//! when it queues the request. Each partition owns an address slice of
+//! every structure a request touches — per-SM L1 bank and MSHR file
+//! slices, an L2 bank, its own L2/DRAM bandwidth arbiters, and per-SM
+//! crossbar injection ports — so two requests to different partitions
+//! share **no** mutable state. [`Partition::access`] is pure
+//! per-partition work without counter updates: the driver
+//! ([`crate::timed`]) calls it for every queued request in (SM-index,
+//! issue) order, and the per-SM completion phase
+//! ([`crate::sm::SmCore::complete_memory`]) applies counters and
+//! telemetry from the returned [`AccessResult`]s in the same order.
+//! With one partition there is no crossbar: the partition is the whole
+//! L2 and no request queues at a port.
 
-use crate::addrdec::AddressDecoder;
 use crate::config::GpuConfig;
 use crate::stats::ActivityCounters;
 use std::collections::VecDeque;
@@ -37,7 +38,6 @@ pub struct Cache {
     /// `sets[s]` is the MRU-ordered tag list of set `s`.
     sets: Vec<Vec<u64>>,
     assoc: usize,
-    line: u64,
     set_shift: u32,
     set_mask: u64,
 }
@@ -64,7 +64,6 @@ impl Cache {
         Cache {
             sets: vec![Vec::with_capacity(assoc); sets],
             assoc,
-            line,
             set_shift: line.trailing_zeros(),
             set_mask: sets as u64 - 1,
         }
@@ -88,12 +87,6 @@ impl Cache {
             ways.insert(0, tag);
             false
         }
-    }
-
-    /// Line size in bytes.
-    #[must_use]
-    pub fn line(&self) -> u64 {
-        self.line
     }
 
     /// Modeled capacity in lines (`sets × ways`).
@@ -219,7 +212,7 @@ impl MshrFile {
 /// cycle, and excess requests spill FIFO into following cycles, so a
 /// burst's tail sees its queueing delay. Service cycles are
 /// monotonically non-decreasing across calls, which preserves arrival
-/// (drain) order.
+/// (access) order.
 #[derive(Debug, Clone, Copy, Default)]
 struct BwSlots {
     cycle: u64,
@@ -290,8 +283,8 @@ impl XbarPort {
 /// One address slice of the memory subsystem: the per-SM L1 bank and
 /// MSHR file slices for the lines this partition serves, an L2 bank,
 /// private L2/DRAM bandwidth arbiters, and the per-SM crossbar
-/// injection ports. Partitions share no mutable state, so the order in
-/// which different partitions are drained cannot affect any result.
+/// injection ports. Partitions share no mutable state, so how requests
+/// to different partitions interleave cannot affect any result.
 #[derive(Debug, Clone)]
 pub struct Partition {
     l1s: Vec<Cache>,
@@ -308,19 +301,8 @@ pub struct Partition {
     dram_bw: u32,
     xbar_depth: u32,
     /// Crossbar port queueing is modeled only with 2+ partitions: a
-    /// monolithic L2 has no crossbar, and skipping the port keeps the
-    /// single-partition model bit-identical to the legacy hierarchy.
+    /// monolithic L2 has no crossbar.
     xbar_modeled: bool,
-}
-
-/// L1s + MSHR files + partitioned L2 + DRAM with latency, bandwidth and
-/// occupancy accounting. A thin owner around the [`Partition`] slices
-/// plus the address decoder that routes between them.
-#[derive(Debug, Clone)]
-pub struct MemoryHierarchy {
-    parts: Vec<Partition>,
-    decoder: AddressDecoder,
-    line: u64,
 }
 
 /// Result of one coalesced transaction, carrying the request's
@@ -329,10 +311,8 @@ pub struct MemoryHierarchy {
 /// fill could start. The stage waits are zero for L1 hits and merges
 /// (neither allocates a new fill). Every counter a transaction implies
 /// is reconstructible from this record
-/// ([`apply_access_counters`]), which is what lets partitions compute
-/// results in any order and the per-SM completion phase apply the
-/// counters deterministically afterwards. (`Default` exists only as
-/// the routing placeholder in [`Completion`].)
+/// ([`apply_access_counters`]), which is what lets the per-SM
+/// completion phase apply the counters after the memory round.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccessResult {
     /// Absolute cycle the result is available to the issuing warp.
@@ -399,7 +379,7 @@ impl AccessResult {
 
 /// One SM's view of its MSHR slice in one partition: free entries,
 /// earliest in-flight fill, and current occupancy. The driver snapshots
-/// one per partition after the drain and hands the slice to
+/// one per partition after the memory round and hands the slice to
 /// [`crate::sm::SmCore::complete_memory`], which refreshes the core's
 /// per-partition credit mirror and wake hint from it.
 #[derive(Debug, Clone, Copy)]
@@ -456,7 +436,7 @@ impl Partition {
     }
 
     /// One coalesced transaction from SM `sm` touching the line
-    /// containing `addr` (already routed to this partition) at cycle
+    /// containing `addr` (already decoded to this partition) at cycle
     /// `now`. Loads and stores take the same path: stores are
     /// write-allocate and consume MSHR entries and bandwidth like fills
     /// (they just never block the issuing warp — the caller ignores
@@ -469,7 +449,7 @@ impl Partition {
     /// Touches only this partition's state and performs **no** counter
     /// or telemetry updates — those are reconstructed from the returned
     /// [`AccessResult`] by [`apply_access_counters`] in the per-SM
-    /// completion phase, so partition drains commute.
+    /// completion phase, so requests to different partitions commute.
     pub fn access(&mut self, sm: usize, addr: u64, now: u64) -> AccessResult {
         let line_id = addr / self.line;
         if let Some(fill) = self.mshrs[sm].find(line_id, now) {
@@ -536,8 +516,8 @@ impl Partition {
 
     /// Retires SM `sm`'s MSHR entries in this partition whose fills
     /// have landed by `now`. The driver calls this for every partition
-    /// at the start of each drain, before any access, so the cycle's
-    /// requests see the post-retirement files.
+    /// at the start of each memory round, before any access, so the
+    /// cycle's requests see the post-retirement files.
     pub fn retire_fills(&mut self, sm: usize, now: u64) {
         self.mshrs[sm].retire(now);
     }
@@ -584,11 +564,10 @@ impl Partition {
     }
 }
 
-/// Replays the counter updates one transaction implies onto `act`.
-/// Reconstructs exactly what the pre-partitioning
-/// `MemoryHierarchy::access` charged inline: an L1 access always; a
-/// merge; or a fresh fill's miss/NoC/queue-wait/backpressure counters,
-/// with L2 misses also charging DRAM. `line` is the L1 line size (NoC
+/// Applies the counter updates one transaction implies onto `act`: an
+/// L1 access always; a merge; or a fresh fill's
+/// miss/NoC/queue-wait/backpressure counters, with L2 misses also
+/// charging DRAM. `line` is the L1 line size (NoC
 /// response flits are `line/32`). `store` marks write-allocate
 /// transactions and `xbar` whether the run models a crossbar (more than
 /// one L2 partition) — both price fresh fills for the energy model.
@@ -630,271 +609,8 @@ pub fn apply_access_counters(
     }
 }
 
-impl MemoryHierarchy {
-    /// Builds the hierarchy for a GPU configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `cfg.l1_line != cfg.l2_line` or the line size /
-    /// partition count is not a power of two (see
-    /// [`GpuConfig::validate`]).
-    #[must_use]
-    pub fn new(cfg: &GpuConfig) -> Self {
-        MemoryHierarchy {
-            parts: Partition::build_all(cfg),
-            decoder: AddressDecoder::new(cfg.l1_line, cfg.l2_partitions.max(1)),
-            line: cfg.l1_line,
-        }
-    }
-
-    /// The partition count.
-    #[must_use]
-    pub fn num_partitions(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// The address decoder routing lines to partitions (cheap copy).
-    #[must_use]
-    pub fn decoder(&self) -> AddressDecoder {
-        self.decoder
-    }
-
-    /// Mutable access to partition `p` (the driver's
-    /// partition-index-order drain).
-    pub fn partition_mut(&mut self, p: usize) -> &mut Partition {
-        &mut self.parts[p]
-    }
-
-    /// One coalesced global-memory transaction from SM `sm` touching the
-    /// line containing `addr` at cycle `now`, with counter updates:
-    /// routes through the address decoder, accesses the partition, and
-    /// applies the implied counters. The single-structure convenience
-    /// path (unit tests, single-SM tools); the driver instead routes,
-    /// drains and completes in separate phases.
-    pub fn access(
-        &mut self,
-        sm: usize,
-        addr: u64,
-        now: u64,
-        act: &mut ActivityCounters,
-    ) -> AccessResult {
-        let p = self.decoder.decode(addr);
-        let r = self.parts[p].access(sm, addr, now);
-        apply_access_counters(act, &r, self.line, false, self.parts.len() > 1);
-        r
-    }
-
-    /// Retires SM `sm`'s MSHR entries (every partition slice) whose
-    /// fills have landed by `now`.
-    pub fn retire_fills(&mut self, sm: usize, now: u64) {
-        for part in &mut self.parts {
-            part.retire_fills(sm, now);
-        }
-    }
-
-    /// The hierarchy's provable next event: the minimum of
-    /// [`Partition::next_event`] over every partition (`u64::MAX` when
-    /// the whole memory side is idle). The driver's memory
-    /// calendar entry.
-    #[must_use]
-    pub fn next_event(&self) -> u64 {
-        self.parts
-            .iter()
-            .map(Partition::next_event)
-            .min()
-            .unwrap_or(u64::MAX)
-    }
-
-    /// SM `sm`'s aggregate MSHR file state across partitions: `(total
-    /// free entries, earliest in-flight fill time)`.
-    #[must_use]
-    pub fn mshr_state(&self, sm: usize) -> (u32, u64) {
-        let free = self.parts.iter().map(|p| p.mshrs[sm].free()).sum();
-        let earliest = self
-            .parts
-            .iter()
-            .map(|p| p.mshrs[sm].earliest())
-            .min()
-            .unwrap_or(u64::MAX);
-        (free, earliest)
-    }
-
-    /// SM `sm`'s per-partition MSHR views, appended to `out` in
-    /// partition-index order (`out` is cleared first; reused buffer).
-    pub fn mshr_views(&self, sm: usize, out: &mut Vec<MshrView>) {
-        out.clear();
-        out.extend(self.parts.iter().map(|p| p.mshr_view(sm)));
-    }
-
-    /// SM `sm`'s occupied MSHR entries (in-flight line fills) summed
-    /// across partitions. Feeds the telemetry occupancy timeline at
-    /// drain time.
-    #[must_use]
-    pub fn mshr_occupied(&self, sm: usize) -> u32 {
-        self.parts
-            .iter()
-            .map(|p| p.mshrs[sm].entries.len() as u32)
-            .sum()
-    }
-
-    /// L1 line size.
-    #[must_use]
-    pub fn line(&self) -> u64 {
-        self.line
-    }
-}
-
-/// One request routed to a partition lane: which SM sent it and the
-/// position (`seq`) in that SM's issue-order completion list where the
-/// result lands at gather time.
-#[derive(Debug, Clone, Copy)]
-pub struct LaneReq {
-    /// Issuing SM.
-    pub sm: usize,
-    /// Index into the SM's completion list for this cycle.
-    pub seq: usize,
-    /// Coalesced line address.
-    pub addr: u64,
-}
-
-/// One partition's request lane for a drain round: the routed requests
-/// in (SM-index, issue) order and the results the partition produced
-/// for them.
-#[derive(Debug, Default)]
-pub struct PartitionLane {
-    /// Routed requests, (SM-index, issue) order.
-    pub reqs: Vec<LaneReq>,
-    /// One result per request, filled by [`PartitionLane::drain`].
-    pub results: Vec<AccessResult>,
-}
-
-impl PartitionLane {
-    /// An empty lane.
-    #[must_use]
-    pub fn new() -> Self {
-        PartitionLane::default()
-    }
-
-    /// Runs every routed request through `part` in lane order, filling
-    /// `results`. Pure per-partition work: it commutes with other
-    /// partitions' drains.
-    pub fn drain(&mut self, part: &mut Partition, now: u64) {
-        self.results.clear();
-        self.results
-            .extend(self.reqs.iter().map(|r| part.access(r.sm, r.addr, now)));
-    }
-}
-
-/// One completed transaction handed back to its SM in issue order:
-/// the request identity plus the partition's [`AccessResult`]
-/// (placeholder-default until [`gather_results`] fills it).
-#[derive(Debug, Clone, Copy)]
-pub struct Completion {
-    /// Core-local token matching the result to a scoreboard entry.
-    pub token: u32,
-    /// Coalesced line address.
-    pub addr: u64,
-    /// Store traffic (write-allocate; never blocks the warp).
-    pub store: bool,
-    /// Partition that served the request.
-    pub partition: u32,
-    /// The partition's access result.
-    pub result: AccessResult,
-}
-
-/// Routes one SM's queued requests into the per-partition lanes,
-/// recording a placeholder [`Completion`] per request in issue order.
-/// Called per SM in SM-index order, so every lane ends up in
-/// (SM-index, issue) order — with one partition, exactly the total
-/// order the pre-partitioning drain used.
-pub fn route_requests(
-    queue: &mut RequestQueue,
-    sm: usize,
-    decoder: &AddressDecoder,
-    lanes: &mut [PartitionLane],
-    completions: &mut Vec<Completion>,
-) {
-    for (token, addr, store) in queue.drain() {
-        let p = decoder.decode(addr);
-        lanes[p].reqs.push(LaneReq {
-            sm,
-            seq: completions.len(),
-            addr,
-        });
-        completions.push(Completion {
-            token,
-            addr,
-            store,
-            partition: p as u32,
-            result: AccessResult::default(),
-        });
-    }
-}
-
-/// Scatters every lane's results back into the per-SM completion lists
-/// (issue order), leaving the lanes empty for the next cycle.
-pub fn gather_results(lanes: &mut [PartitionLane], completions: &mut [Vec<Completion>]) {
-    for lane in lanes {
-        for (req, r) in lane.reqs.drain(..).zip(lane.results.drain(..)) {
-            completions[req.sm][req.seq].result = r;
-        }
-    }
-}
-
 fn saturate(cycles: u64) -> u32 {
     u32::try_from(cycles).unwrap_or(u32::MAX)
-}
-
-/// How an SM core submits global-memory transactions without calling
-/// into the shared hierarchy mid-step.
-///
-/// [`crate::sm::SmCore::step_cycle`] queues one request per coalesced
-/// segment, tagged with a core-local `token`; the driver drains the
-/// queues against the [`MemoryHierarchy`] in SM-index order at the end of
-/// the cycle, then hands completion times back via
-/// [`crate::sm::SmCore::drain_memory`]. This keeps the L2/DRAM access
-/// sequence — and therefore every latency, queue depth and counter —
-/// independent of when within the cycle each core stepped.
-pub trait MemInterface {
-    /// Queues one coalesced transaction touching the line at `addr`.
-    /// `token` identifies the issuing access so the core can match the
-    /// worst-case completion time back to its scoreboard entry;
-    /// `store` discriminates write traffic for telemetry (stores take
-    /// the same write-allocate path through the hierarchy).
-    fn request(&mut self, token: u32, addr: u64, store: bool);
-}
-
-/// The standard [`MemInterface`]: a FIFO of `(token, addr, store)`
-/// entries preserving issue order.
-#[derive(Debug, Default)]
-pub struct RequestQueue {
-    entries: Vec<(u32, u64, bool)>,
-}
-
-impl RequestQueue {
-    /// An empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        RequestQueue::default()
-    }
-
-    /// The queued requests in issue order, leaving the queue empty (the
-    /// allocation is retained for reuse via the swap in the caller).
-    pub fn drain(&mut self) -> std::vec::Drain<'_, (u32, u64, bool)> {
-        self.entries.drain(..)
-    }
-
-    /// Whether any requests are queued.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-impl MemInterface for RequestQueue {
-    fn request(&mut self, token: u32, addr: u64, store: bool) {
-        self.entries.push((token, addr, store));
-    }
 }
 
 /// Shared-memory bank-conflict degree: with 32 four-byte-interleaved
@@ -932,6 +648,29 @@ pub fn coalesce(addrs: &[u64], line: u64) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addrdec::AddressDecoder;
+
+    /// The one partition of a single-partition config (every
+    /// `GpuConfig::scaled` harness below 20 SMs has one).
+    fn single_partition(cfg: &GpuConfig) -> Partition {
+        let mut parts = Partition::build_all(cfg);
+        assert_eq!(parts.len(), 1, "test expects a single-partition config");
+        parts.pop().expect("one partition")
+    }
+
+    /// One load transaction as the memory round and the completion phase
+    /// run it: the partition access, then the counters it implies.
+    fn load(
+        part: &mut Partition,
+        act: &mut ActivityCounters,
+        sm: usize,
+        addr: u64,
+        now: u64,
+    ) -> AccessResult {
+        let r = part.access(sm, addr, now);
+        apply_access_counters(act, &r, part.line, false, false);
+        r
+    }
 
     #[test]
     fn lru_behaviour() {
@@ -969,11 +708,19 @@ mod tests {
 
     #[test]
     fn line_reports_l1_line() {
+        // Partitions track lines at the configured L1 line size: with
+        // 64-byte lines, addresses 64 bytes apart start two fills and
+        // 32 bytes apart merge into one, and each fill prices
+        // `1 + 64/32` NoC flits.
         let mut cfg = GpuConfig::scaled(1);
         cfg.l1_line = 64;
         cfg.l2_line = 64;
-        let h = MemoryHierarchy::new(&cfg);
-        assert_eq!(h.line(), 64);
+        let mut part = single_partition(&cfg);
+        let mut act = ActivityCounters::default();
+        assert!(load(&mut part, &mut act, 0, 0, 0).is_fill());
+        assert!(load(&mut part, &mut act, 0, 64, 0).is_fill());
+        assert!(load(&mut part, &mut act, 0, 32, 0).merged);
+        assert_eq!(act.noc_flits, 2 * (1 + 64 / 32));
     }
 
     #[test]
@@ -1011,15 +758,15 @@ mod tests {
     #[test]
     fn hierarchy_latencies_ordered() {
         let cfg = GpuConfig::scaled(1);
-        let mut h = MemoryHierarchy::new(&cfg);
+        let mut part = single_partition(&cfg);
         let mut act = ActivityCounters::default();
-        let miss = h.access(0, 1 << 20, 0, &mut act);
+        let miss = load(&mut part, &mut act, 0, 1 << 20, 0);
         assert!(!miss.l1_hit && !miss.l2_hit && !miss.merged);
         assert_eq!(miss.latency, cfg.dram_latency);
         assert_eq!(miss.ready_at, u64::from(cfg.dram_latency));
         // Re-access after the fill landed: a plain L1 hit.
-        h.retire_fills(0, miss.ready_at);
-        let hit = h.access(0, 1 << 20, miss.ready_at, &mut act);
+        part.retire_fills(0, miss.ready_at);
+        let hit = load(&mut part, &mut act, 0, 1 << 20, miss.ready_at);
         assert!(hit.l1_hit);
         assert_eq!(hit.latency, cfg.l1_latency);
         assert_eq!(act.l1_accesses, 2);
@@ -1030,12 +777,12 @@ mod tests {
     #[test]
     fn mshr_merges_same_line_misses() {
         let cfg = GpuConfig::scaled(1);
-        let mut h = MemoryHierarchy::new(&cfg);
+        let mut part = single_partition(&cfg);
         let mut act = ActivityCounters::default();
-        let first = h.access(0, 1 << 20, 0, &mut act);
+        let first = load(&mut part, &mut act, 0, 1 << 20, 0);
         // A second miss to the same line while the fill is in flight
         // piggybacks on it: same completion time, no second DRAM access.
-        let second = h.access(0, (1 << 20) + 8, 5, &mut act);
+        let second = load(&mut part, &mut act, 0, (1 << 20) + 8, 5);
         assert!(second.merged);
         assert_eq!(second.level(), 3);
         assert_eq!(second.ready_at, first.ready_at);
@@ -1050,14 +797,14 @@ mod tests {
         let mut cfg = GpuConfig::scaled(1);
         cfg.dram_bw = 1;
         cfg.l2_bw = 1;
-        let mut h = MemoryHierarchy::new(&cfg);
+        let mut part = single_partition(&cfg);
         let mut act = ActivityCounters::default();
         // N distinct-line misses in one cycle: with 1 request/cycle the
         // k-th is serviced k-1 cycles later than the first.
         let n = 16u64;
         let mut last = 0;
         for k in 0..n {
-            let r = h.access(0, (1 << 24) + k * 4096, 0, &mut act);
+            let r = load(&mut part, &mut act, 0, (1 << 24) + k * 4096, 0);
             assert!(!r.l1_hit && !r.merged);
             if k > 0 {
                 assert_eq!(r.ready_at, last + 1, "FIFO backlog grows latency");
@@ -1071,65 +818,81 @@ mod tests {
     fn full_mshr_file_backpressures() {
         let mut cfg = GpuConfig::scaled(1);
         cfg.mshr_entries = 2;
-        let mut h = MemoryHierarchy::new(&cfg);
+        let mut part = single_partition(&cfg);
         let mut act = ActivityCounters::default();
-        let a = h.access(0, 0x10000, 0, &mut act);
-        let _b = h.access(0, 0x20000, 0, &mut act);
-        let (free, earliest) = h.mshr_state(0);
-        assert_eq!(free, 0);
-        assert_eq!(earliest, a.ready_at);
+        let a = load(&mut part, &mut act, 0, 0x10000, 0);
+        let _b = load(&mut part, &mut act, 0, 0x20000, 0);
+        let view = part.mshr_view(0);
+        assert_eq!((view.free, view.occupied), (0, 2));
+        assert_eq!(view.earliest, a.ready_at);
         // Third distinct line with the file full: its request cannot
         // start before the earliest outstanding fill frees an entry.
-        let c = h.access(0, 0x30000, 1, &mut act);
+        let c = load(&mut part, &mut act, 0, 0x30000, 1);
         assert!(c.ready_at >= a.ready_at + u64::from(cfg.dram_latency));
         assert_eq!(act.mem_throttle, 1);
         // Once fills land, retirement frees the file again.
-        h.retire_fills(0, c.ready_at);
-        assert_eq!(h.mshr_state(0).0, cfg.mshr_entries);
+        part.retire_fills(0, c.ready_at);
+        assert_eq!(part.mshr_view(0).free, cfg.mshr_entries);
     }
 
     #[test]
     fn partition_exports_per_sm_fill_hints() {
         let cfg = GpuConfig::scaled(2);
-        let mut h = MemoryHierarchy::new(&cfg);
+        let mut part = single_partition(&cfg);
         let mut act = ActivityCounters::default();
-        assert_eq!(h.partition_mut(0).earliest_fill(0), u64::MAX);
-        let a = h.access(0, 0x10000, 0, &mut act);
-        let p = h.decoder().decode(0x10000);
-        assert_eq!(h.partition_mut(p).earliest_fill(0), a.ready_at);
+        assert_eq!(part.earliest_fill(0), u64::MAX);
+        let a = load(&mut part, &mut act, 0, 0x10000, 0);
+        assert_eq!(part.earliest_fill(0), a.ready_at);
+        assert_eq!(part.mshr_view(0).earliest, a.ready_at);
         // Slices are per-SM: the sibling reports no wake.
-        assert_eq!(h.partition_mut(p).earliest_fill(1), u64::MAX);
+        assert_eq!(part.earliest_fill(1), u64::MAX);
         // And the hint clears once the fill retires.
-        h.retire_fills(0, a.ready_at);
-        assert_eq!(h.partition_mut(p).earliest_fill(0), u64::MAX);
+        part.retire_fills(0, a.ready_at);
+        assert_eq!(part.earliest_fill(0), u64::MAX);
     }
 
     #[test]
     fn next_event_tracks_earliest_fill() {
-        let cfg = GpuConfig::scaled(2);
-        let mut h = MemoryHierarchy::new(&cfg);
-        let mut act = ActivityCounters::default();
-        assert_eq!(h.next_event(), u64::MAX, "idle memory side has no event");
-        let a = h.access(0, 0x10000, 0, &mut act);
-        let b = h.access(1, 0x9000_0000, 2, &mut act);
-        assert_eq!(h.next_event(), a.ready_at.min(b.ready_at));
-        let p = h.decoder().decode(0x10000);
+        // Two SMs on a two-partition config: each partition's event is
+        // the earliest fill across its per-SM slices, and the machine's
+        // memory-side event is the minimum over partitions.
+        let cfg = GpuConfig::scaled(2).with_l2_partitions(2);
+        let mut parts = Partition::build_all(&cfg);
+        let dec = AddressDecoder::new(cfg.l1_line, 2);
+        let next = |parts: &[Partition]| parts.iter().map(Partition::next_event).min();
         assert_eq!(
-            h.partition_mut(p).next_event(),
-            a.ready_at,
+            next(&parts),
+            Some(u64::MAX),
+            "idle memory side has no event"
+        );
+        let (pa, pb) = (dec.decode(0x10000), dec.decode(0x9000_0000));
+        let a = parts[pa].access(0, 0x10000, 0);
+        let b = parts[pb].access(1, 0x9000_0000, 2);
+        assert_eq!(next(&parts), Some(a.ready_at.min(b.ready_at)));
+        assert_eq!(
+            parts[pa].next_event(),
+            if pa == pb {
+                a.ready_at.min(b.ready_at)
+            } else {
+                a.ready_at
+            },
             "per-partition event is the slice's earliest fill"
         );
         // Retiring the earlier fill advances the event to the later one.
         let first = a.ready_at.min(b.ready_at);
         let later = a.ready_at.max(b.ready_at);
-        for sm in 0..2 {
-            h.retire_fills(sm, first);
+        for part in &mut parts {
+            for sm in 0..2 {
+                part.retire_fills(sm, first);
+            }
         }
-        assert_eq!(h.next_event(), later);
-        for sm in 0..2 {
-            h.retire_fills(sm, later);
+        assert_eq!(next(&parts), Some(later));
+        for part in &mut parts {
+            for sm in 0..2 {
+                part.retire_fills(sm, later);
+            }
         }
-        assert_eq!(h.next_event(), u64::MAX);
+        assert_eq!(next(&parts), Some(u64::MAX));
     }
 
     #[test]
@@ -1137,21 +900,23 @@ mod tests {
         let mut cfg = GpuConfig::scaled(1);
         cfg.dram_bw = 1;
         cfg.l2_bw = 1;
-        let mut h = MemoryHierarchy::new(&cfg);
+        let mut part = single_partition(&cfg);
         let mut act = ActivityCounters::default();
         // Write-allocate: a store miss occupies an MSHR and a DRAM slot
         // exactly like a load fill, so a load behind a store burst
         // queues behind it.
         for k in 0..8u64 {
-            let _ = h.access(0, (1 << 26) + k * 4096, 0, &mut act);
+            let r = part.access(0, (1 << 26) + k * 4096, 0);
+            apply_access_counters(&mut act, &r, part.line, true, false);
         }
-        let load = h.access(0, 1 << 27, 0, &mut act);
+        assert_eq!(act.write_allocates, 8, "every store miss allocates");
+        let ld = load(&mut part, &mut act, 0, 1 << 27, 0);
         assert!(
-            load.ready_at >= u64::from(cfg.dram_latency) + 8,
+            ld.ready_at >= u64::from(cfg.dram_latency) + 8,
             "load was not delayed by the store burst: ready_at {}",
-            load.ready_at
+            ld.ready_at
         );
-        assert_eq!(h.mshr_state(0).0, GpuConfig::scaled(1).mshr_entries - 9);
+        assert_eq!(part.mshr_view(0).free, cfg.mshr_entries - 9);
     }
 
     #[test]
@@ -1159,17 +924,17 @@ mod tests {
         let mut cfg = GpuConfig::scaled(1);
         cfg.dram_bw = 1;
         cfg.l2_bw = 1;
-        let mut h = MemoryHierarchy::new(&cfg);
+        let mut part = single_partition(&cfg);
         let mut act = ActivityCounters::default();
         // First miss of the cycle: granted immediately, no queueing.
-        let first = h.access(0, 1 << 24, 0, &mut act);
+        let first = load(&mut part, &mut act, 0, 1 << 24, 0);
         assert!(first.is_fill());
         assert_eq!((first.mshr_wait, first.l2_wait, first.dram_wait), (0, 0, 0));
         // Same-cycle misses queue behind it: the k-th distinct line
         // waits k cycles for its L2 slot (and its latency grows by
         // exactly that queueing delay).
         for k in 1..4u64 {
-            let r = h.access(0, (1 << 24) + k * 4096, 0, &mut act);
+            let r = load(&mut part, &mut act, 0, (1 << 24) + k * 4096, 0);
             assert_eq!(r.mshr_wait, 0);
             assert_eq!(r.bw_wait(), k, "k-th request queues k cycles");
             assert_eq!(
@@ -1185,16 +950,16 @@ mod tests {
     fn mshr_wait_stamped_under_backpressure() {
         let mut cfg = GpuConfig::scaled(1);
         cfg.mshr_entries = 1;
-        let mut h = MemoryHierarchy::new(&cfg);
+        let mut part = single_partition(&cfg);
         let mut act = ActivityCounters::default();
-        let a = h.access(0, 0x10000, 0, &mut act);
+        let a = load(&mut part, &mut act, 0, 0x10000, 0);
         // File full: the second miss cannot allocate until a's fill
         // frees the single entry.
-        let b = h.access(0, 0x20000, 3, &mut act);
+        let b = load(&mut part, &mut act, 0, 0x20000, 3);
         assert_eq!(b.mshr_wait, a.ready_at - 3);
         assert_eq!(act.mem_throttle, 1);
         // Hits and merges carry zero stage waits.
-        let merged = h.access(0, 0x20000 + 8, 4, &mut act);
+        let merged = load(&mut part, &mut act, 0, 0x20000 + 8, 4);
         assert!(merged.merged);
         assert_eq!(merged.mshr_wait + merged.bw_wait(), 0);
     }
@@ -1202,12 +967,12 @@ mod tests {
     #[test]
     fn l2_shared_across_sms() {
         let cfg = GpuConfig::scaled(2);
-        let mut h = MemoryHierarchy::new(&cfg);
+        let mut part = single_partition(&cfg);
         let mut act = ActivityCounters::default();
-        let _ = h.access(0, 4096, 0, &mut act);
+        let _ = load(&mut part, &mut act, 0, 4096, 0);
         // Other SM misses its own L1 (and its own MSHR file) but hits
         // the shared L2.
-        let r = h.access(1, 4096, 0, &mut act);
+        let r = load(&mut part, &mut act, 1, 4096, 0);
         assert!(!r.l1_hit && r.l2_hit && !r.merged);
     }
 }

@@ -4,34 +4,30 @@
 //! a cycle — resident warps, block slots, the register scoreboard,
 //! functional-unit pipes, the ST² predictor with its Carry Register File,
 //! and per-SM activity counters — and nothing shared with other SMs.
-//! It reads and writes the global [`MemImage`] directly and reaches the
-//! cache hierarchy only through [`crate::memory::MemInterface`]; the
-//! driver ([`crate::timed`]) routes the queued memory requests to the L2
-//! partitions in SM-index order at the end of every cycle and drains the
-//! partitions in partition-index order.
+//! It reads and writes the global [`MemImage`] directly and keeps its
+//! cache transactions in a request list it owns; the driver
+//! ([`crate::timed`]) runs every awake core's list against the L2
+//! partitions in SM-index order at the end of every cycle.
 //!
 //! One cycle is three phases, all driven from outside:
 //!
 //! 1. [`SmCore::step_cycle`] — schedule and issue up to `issue_width`
-//!    warp instructions, executing them functionally and queueing global
-//!    memory transactions (scoreboard destinations of in-flight loads are
-//!    parked at `u64::MAX`).
-//! 2. The driver routes the queued transactions to the L2 partitions
-//!    ([`crate::memory::route_requests`]), drains the partitions in
-//!    partition-index order and hands the completed results
-//!    back through [`SmCore::complete_memory`], which resolves the
-//!    parked scoreboard entries ([`SmCore::drain_memory`] bundles the
-//!    whole phase for single-SM callers).
+//!    warp instructions, executing them functionally and queueing one
+//!    request per coalesced global segment, with the partition its
+//!    address decodes to (scoreboard destinations of in-flight
+//!    loads are parked at `u64::MAX`).
+//! 2. The driver retires landed fills, then calls
+//!    [`SmCore::access_memory`], which runs the requests in issue order
+//!    through their [`Partition`]s, and [`SmCore::complete_memory`],
+//!    which applies the results: counters, telemetry and the parked
+//!    scoreboard entries.
 //! 3. [`SmCore::finish_cycle`] — release satisfied block barriers and
 //!    retire finished blocks.
 
 use crate::addrdec::AddressDecoder;
 use crate::config::{GpuConfig, SchedulerKind};
 use crate::exec::{step, ExecEnv, StepHooks, WarpAdderOp, WarpCtx};
-use crate::memory::{
-    apply_access_counters, coalesce, Completion, MemInterface, MemoryHierarchy, MshrView,
-    RequestQueue,
-};
+use crate::memory::{apply_access_counters, coalesce, AccessResult, MshrView, Partition};
 use crate::stats::ActivityCounters;
 use st2_core::adder::execute_op_with_sink;
 use st2_core::event::OpContext;
@@ -255,13 +251,31 @@ fn pool_of(inst: &Inst) -> Pool {
 }
 
 /// One global-memory access in flight between [`SmCore::step_cycle`] and
-/// [`SmCore::drain_memory`] (same cycle): which warp issued it and the
+/// [`SmCore::complete_memory`] (same cycle): which warp issued it, the
 /// scoreboard destination to resolve (None for stores, which retire
-/// without blocking the warp).
+/// without blocking the warp), and the latest completion among its
+/// segments seen so far.
 #[derive(Debug, Clone, Copy)]
 struct PendingAccess {
     warp: usize,
     dest: Option<Reg>,
+    ready_at: u64,
+}
+
+/// One coalesced global-memory transaction queued by
+/// [`SmCore::step_cycle`]. The issue stage decodes the partition once,
+/// for the MSHR credit, and the memory round reuses it.
+#[derive(Debug, Clone, Copy)]
+struct MemRequest {
+    /// Coalesced line address.
+    addr: u64,
+    /// Index of the issuing access in this cycle's pending list; every
+    /// segment of one warp access shares it.
+    token: u32,
+    /// L2 partition the line address decodes to.
+    partition: u32,
+    /// Store traffic (write-allocate; never blocks the warp).
+    store: bool,
 }
 
 /// What one [`SmCore::step_cycle`] call did, aggregated by the driver
@@ -310,14 +324,18 @@ pub struct SmCore {
     age_counter: u64,
     act: ActivityCounters,
     pending: Vec<PendingAccess>,
-    /// Copy of the hierarchy's address decoder, so the issue stage can
-    /// charge the right per-partition credit without shared state.
+    /// This cycle's global transactions in issue order, and the
+    /// partitions' results for them once [`SmCore::access_memory`] ran.
+    requests: Vec<MemRequest>,
+    results: Vec<AccessResult>,
+    /// Routes line addresses to partitions; the issue stage decodes each
+    /// request once, here.
     decoder: AddressDecoder,
     /// Per-partition mirror of this SM's free MSHR entries, refreshed by
     /// [`SmCore::complete_memory`] each cycle (so the issue stage can
     /// gate global LD/ST without reading shared hierarchy state
     /// mid-step). Stale by at most the accesses issued since the last
-    /// drain, which the per-segment decrement below accounts for.
+    /// memory round, which the per-segment decrement below accounts for.
     mem_credit: Vec<u32>,
     /// Earliest in-flight fill time across this SM's MSHR slices
     /// (`u64::MAX` when none): the wake hint for `MemThrottle`-stalled
@@ -373,6 +391,8 @@ impl SmCore {
             age_counter: 0,
             act: ActivityCounters::default(),
             pending: Vec::new(),
+            requests: Vec::new(),
+            results: Vec::new(),
             decoder: AddressDecoder::new(cfg.l1_line, cfg.l2_partitions.max(1)),
             mem_credit: vec![
                 (cfg.mshr_entries / cfg.l2_partitions.max(1)).max(1);
@@ -468,15 +488,14 @@ impl SmCore {
 
     /// Schedules and issues up to `issue_width` warp instructions at
     /// cycle `now`, executing them functionally against `global` and
-    /// queueing coalesced global-memory transactions on `iface` (resolved
-    /// later by [`SmCore::drain_memory`]).
+    /// queueing coalesced global-memory transactions on the core's
+    /// request list ([`SmCore::has_requests`]).
     pub fn step_cycle(
         &mut self,
         now: u64,
         program: &Program,
         launch: LaunchConfig,
         global: &mut MemImage,
-        iface: &mut dyn MemInterface,
         tele: &mut Telemetry,
     ) -> CycleReport {
         let mut report = CycleReport::default();
@@ -522,7 +541,7 @@ impl SmCore {
         for &wi in &order {
             // When profiling, keep scanning past the issue-width cap so
             // every warp-cycle gets a stall attribution; otherwise stop
-            // early exactly as before. Issuing is capped either way, and
+            // at the cap. Issuing is capped either way, and
             // the extra `next_wake` candidates the profiling scan finds
             // are irrelevant: the clock only fast-forwards on cycles
             // where *no* SM issued, and reaching the cap means we issued.
@@ -712,7 +731,7 @@ impl SmCore {
                     _ => cfg.mul_latency,
                 },
                 Pool::Sfu => cfg.sfu_latency,
-                Pool::Ldst => 0, // set below (shared) or at drain (global)
+                Pool::Ldst => 0, // set below (shared) or at completion (global)
             });
             if pool == Pool::Sfu {
                 interval = u64::from(cfg.sfu_interval);
@@ -743,10 +762,11 @@ impl SmCore {
             }
 
             // Memory timing. Shared memory is SM-local and resolves
-            // inline; global transactions are queued on `iface` and
-            // their worst-case completion time lands on the scoreboard
-            // at drain time. A fully predicated-off access (every lane
-            // masked) touches nothing and is not modeled at all.
+            // inline; global transactions are queued on the request list
+            // and their worst-case completion time lands on the
+            // scoreboard in the completion phase. A fully predicated-off
+            // access (every lane masked) touches nothing and is not
+            // modeled at all.
             let mut deferred_load = false;
             if let Some(m) = info.mem.as_ref().filter(|m| !m.addrs.is_empty()) {
                 match m.space {
@@ -762,19 +782,25 @@ impl SmCore {
                     Space::Global => {
                         let segs = coalesce(&m.addrs, cfg.l1_line);
                         let token = self.pending.len() as u32;
-                        for seg in &segs {
-                            iface.request(token, *seg, m.store);
+                        for &addr in &segs {
                             // Each segment may allocate an MSHR entry in
-                            // its partition at the drain; spend the
+                            // its partition in the memory round; spend the
                             // credit now so one cycle cannot
                             // oversubscribe a slice (exact state is
                             // re-mirrored at the completion phase).
-                            let part = self.decoder.decode(*seg);
+                            let part = self.decoder.decode(addr);
                             self.mem_credit[part] = self.mem_credit[part].saturating_sub(1);
+                            self.requests.push(MemRequest {
+                                addr,
+                                token,
+                                partition: part as u32,
+                                store: m.store,
+                            });
                         }
                         self.pending.push(PendingAccess {
                             warp: wi,
                             dest: if m.store { None } else { write },
+                            ready_at: now,
                         });
                         interval = segs.len() as u64;
                         deferred_load = !m.store;
@@ -782,8 +808,8 @@ impl SmCore {
                 }
                 if m.store {
                     // Stores retire without blocking the warp (their
-                    // bandwidth and MSHR occupancy are still charged at
-                    // the drain — write-allocate).
+                    // bandwidth and MSHR occupancy are still charged in
+                    // the memory round — write-allocate).
                     latency = 0;
                 }
             }
@@ -796,7 +822,7 @@ impl SmCore {
             *pipe = now + interval;
 
             // Scoreboard. Global-load destinations are parked until the
-            // drain phase supplies the hierarchy latency.
+            // completion phase supplies the hierarchy latency.
             if let Some(d) = write {
                 self.warps[wi].reg_ready[usize::from(d.0)] = if deferred_load {
                     u64::MAX
@@ -862,59 +888,75 @@ impl SmCore {
         tele.profile_commit(self.index, dt, &self.cycle_profile);
     }
 
-    /// Applies this cycle's completed transactions (issued during
-    /// [`SmCore::step_cycle`] at cycle `now`, routed to the partitions
-    /// and drained by the driver) in issue order: replays their counter
-    /// updates, records per-transaction telemetry, and resolves parked
-    /// scoreboard entries to the completion cycles the partitions
-    /// computed (MSHR merges, crossbar and bandwidth queueing, throttle
-    /// waits included). `views` is this SM's post-drain MSHR slice state
-    /// in partition-index order; it refreshes the per-partition credit
-    /// mirrors, the `MemThrottle` wake hint and the telemetry occupancy
-    /// timeline (integrated over the `dt` clock ticks this cycle
-    /// covers). The driver calls this once per SM per cycle — all
-    /// updates are SM-local, so the call order across SMs is free; the
-    /// per-SM issue order is what keeps runs bit-identical.
-    pub fn complete_memory(
-        &mut self,
-        completions: &mut Vec<Completion>,
-        views: &[MshrView],
-        now: u64,
-        dt: u64,
-        tele: &mut Telemetry,
-    ) {
-        if !self.pending.is_empty() || !completions.is_empty() {
-            let mut worst = vec![now; self.pending.len()];
-            for c in completions.drain(..) {
-                let r = c.result;
-                apply_access_counters(
-                    &mut self.act,
-                    &r,
-                    self.cfg.l1_line,
-                    c.store,
-                    self.cfg.l2_partitions > 1,
-                );
+    /// Whether this cycle's step queued any global transaction for the
+    /// memory round.
+    #[must_use]
+    pub fn has_requests(&self) -> bool {
+        !self.requests.is_empty()
+    }
+
+    /// Runs this cycle's queued transactions, in issue order, through
+    /// the partitions they decoded to at issue, keeping each result for
+    /// [`SmCore::complete_memory`], and flags every partition it
+    /// touched in `touched`. Changes partition state only: counters and
+    /// telemetry wait for the completion phase.
+    pub fn access_memory(&mut self, parts: &mut [Partition], now: u64, touched: &mut [bool]) {
+        for req in &self.requests {
+            let p = req.partition as usize;
+            touched[p] = true;
+            self.results
+                .push(parts[p].access(self.index, req.addr, now));
+        }
+    }
+
+    /// Applies this cycle's transactions (issued during
+    /// [`SmCore::step_cycle`] at cycle `now` and run through the
+    /// partitions by [`SmCore::access_memory`]) in issue order: applies
+    /// their counter updates, records per-transaction telemetry, and
+    /// resolves parked scoreboard entries to the completion cycles the
+    /// partitions computed (MSHR merges, crossbar and bandwidth
+    /// queueing, throttle waits included). `views` is this SM's
+    /// post-round MSHR slice state in partition-index order; it
+    /// refreshes the per-partition credit mirrors, the `MemThrottle`
+    /// wake hint and the telemetry occupancy timeline (integrated over
+    /// the `dt` clock ticks this cycle covers). The driver calls this
+    /// once per SM per cycle — all updates are SM-local, so the call
+    /// order across SMs is free; the per-SM issue order is what keeps
+    /// runs bit-identical.
+    pub fn complete_memory(&mut self, views: &[MshrView], now: u64, dt: u64, tele: &mut Telemetry) {
+        debug_assert_eq!(
+            self.requests.len(),
+            self.results.len(),
+            "completion before the memory round"
+        );
+        // Every request belongs to a pending access, so an empty pending
+        // list means there is nothing to apply.
+        if !self.pending.is_empty() {
+            let xbar = self.cfg.l2_partitions > 1;
+            for (q, r) in self.requests.drain(..).zip(self.results.drain(..)) {
+                apply_access_counters(&mut self.act, &r, self.cfg.l1_line, q.store, xbar);
                 tele.mem_transaction(
                     self.index,
                     now,
                     &MemTxn {
-                        addr: c.addr,
+                        addr: q.addr,
                         latency: r.latency,
                         level: r.level(),
-                        store: c.store,
-                        partition: c.partition,
+                        store: q.store,
+                        partition: q.partition,
                         mshr_wait: r.mshr_wait,
                         xbar_wait: r.xbar_wait,
                         l2_wait: r.l2_wait,
                         dram_wait: r.dram_wait,
-                        xbar_hop: self.cfg.l2_partitions > 1,
+                        xbar_hop: xbar,
                     },
                 );
-                worst[c.token as usize] = worst[c.token as usize].max(r.ready_at);
+                let pending = &mut self.pending[q.token as usize];
+                pending.ready_at = pending.ready_at.max(r.ready_at);
             }
-            for (p, w) in self.pending.drain(..).zip(worst) {
+            for p in self.pending.drain(..) {
                 if let Some(d) = p.dest {
-                    self.warps[p.warp].reg_ready[usize::from(d.0)] = w.max(now + 1);
+                    self.warps[p.warp].reg_ready[usize::from(d.0)] = p.ready_at.max(now + 1);
                 }
             }
         }
@@ -965,41 +1007,6 @@ impl SmCore {
         // price energy identically to lockstep.
         tele.energy_cycles(cycles);
         tele.profile_commit(self.index, cycles, &self.cycle_profile);
-    }
-
-    /// Single-SM bundle of the whole memory phase: retire fills, route
-    /// this core's queued requests through the decoder, drain every
-    /// partition in index order, and apply the completions. The driver
-    /// runs the phases separately (so multi-SM lanes work); this wrapper
-    /// serves single-core callers and tests.
-    pub fn drain_memory(
-        &mut self,
-        queue: &mut RequestQueue,
-        hier: &mut MemoryHierarchy,
-        now: u64,
-        dt: u64,
-        tele: &mut Telemetry,
-    ) {
-        // Retire completed line fills first so this cycle's requests and
-        // the refreshed credit mirrors both see the post-retirement
-        // files.
-        hier.retire_fills(self.index, now);
-        let decoder = hier.decoder();
-        let mut completions = Vec::new();
-        for (token, addr, store) in queue.drain() {
-            let p = decoder.decode(addr);
-            let result = hier.partition_mut(p).access(self.index, addr, now);
-            completions.push(Completion {
-                token,
-                addr,
-                store,
-                partition: p as u32,
-                result,
-            });
-        }
-        let mut views = Vec::new();
-        hier.mshr_views(self.index, &mut views);
-        self.complete_memory(&mut completions, &views, now, dt, tele);
     }
 
     /// End-of-cycle bookkeeping: releases block barriers once every
@@ -1084,17 +1091,21 @@ mod tests {
         // the test forces the state directly.)
         core.warps[0].ctx.stack.force_mask(0);
         let mut g = MemImage::new(1024);
-        let mut q = RequestQueue::new();
-        let mut hier = MemoryHierarchy::new(&cfg);
+        let mut parts = Partition::build_all(&cfg);
+        let mut touched = vec![false; parts.len()];
         let mut tele = Telemetry::disabled();
         // An empty-mask warp never retires (`Exit` has no lanes to kill),
-        // so run a fixed window that covers all five instructions.
+        // so run a fixed window that covers all five instructions, with
+        // the driver's memory round after every step.
         for now in 0..50u64 {
-            core.step_cycle(now, &p, launch, &mut g, &mut q, &mut tele);
-            assert!(q.is_empty(), "zero-lane op queued a transaction");
-            core.drain_memory(&mut q, &mut hier, now, 1, &mut tele);
+            core.step_cycle(now, &p, launch, &mut g, &mut tele);
+            assert!(!core.has_requests(), "zero-lane op queued a transaction");
+            core.access_memory(&mut parts, now, &mut touched);
+            let views: Vec<MshrView> = parts.iter().map(|part| part.mshr_view(0)).collect();
+            core.complete_memory(&views, now, 1, &mut tele);
             core.finish_cycle();
         }
+        assert!(!touched.contains(&true), "a partition saw a phantom access");
         let act = core.activity();
         assert_eq!(act.shared_accesses, 0, "phantom shared transaction");
         assert_eq!(act.shared_bank_conflicts, 0);

@@ -8,14 +8,15 @@
 //!
 //! 1. admit at most one block per SM (SM-index order),
 //! 2. step every awake core ([`SmCore::step_cycle`]), which reads and
-//!    writes global memory directly and queues its cache transactions
-//!    instead of touching the hierarchy,
-//! 3. drain memory: retire landed fills, route the queued transactions
-//!    through the address decoder into per-partition lanes (SM-index
-//!    order), drain the L2 partitions in partition-index order, gather
-//!    the results back per SM, apply them
-//!    ([`SmCore::complete_memory`]), finish the cycle, and advance the
-//!    clock (fast-forwarding idle stretches to the earliest wake-up).
+//!    writes global memory directly and queues its cache transactions,
+//!    each tagged with the partition it decodes to, instead of touching
+//!    the hierarchy,
+//! 3. the memory round: retire landed fills, then walk the awake cores
+//!    in SM-index order and each core's requests in issue order,
+//!    accessing the recorded partition ([`SmCore::access_memory`]);
+//!    apply the results per SM ([`SmCore::complete_memory`]), finish
+//!    the cycle, and advance the clock (fast-forwarding idle stretches
+//!    to the earliest wake-up).
 //!
 //! With [`GpuConfig::event_driven`] on (the default) a wake calendar
 //! skips parked SMs and provably idle memory rounds; off, every SM and
@@ -29,17 +30,14 @@
 //! latency. ST² mispredictions lengthen both by one cycle — the stall
 //! signal of the paper's Fig. 4 — which is exactly how the design's
 //! ~0.36 % average performance overhead arises. Global-memory latency
-//! is not a constant: the drain phase runs every miss through per-SM
+//! is not a constant: the memory round runs every miss through per-SM
 //! MSHR slices, bounded crossbar injection ports and finite per-partition
 //! L2/DRAM request bandwidth (see [`crate::memory`]), so loaded memory
 //! systems stretch completion times and a full MSHR slice
 //! back-pressures the issue stage.
 
 use crate::config::GpuConfig;
-use crate::memory::{
-    gather_results, route_requests, Completion, MemoryHierarchy, MshrView, PartitionLane,
-    RequestQueue,
-};
+use crate::memory::{MshrView, Partition};
 use crate::sm::{CycleReport, SmCore};
 use crate::stats::ActivityCounters;
 use st2_isa::{LaunchConfig, MemImage, Program};
@@ -65,7 +63,7 @@ pub struct TimedOutput {
     /// SM parked and are not counted.
     pub ff_wakeups: u64,
     /// Clock cycles whose memory round — partition fill retirement,
-    /// request routing, drains, the L2/DRAM arbiters and the MSHR view
+    /// request accesses, the L2/DRAM arbiters and the MSHR view
     /// snapshots — the memory calendar provably skipped while at least
     /// one fill was in flight (no partition's next event was due and no
     /// awake SM queued a request), plus any cycles the fully-quiet
@@ -112,36 +110,16 @@ pub fn run_timed(
     run_timed_with(program, launch, global, cfg, RunOptions::default())
 }
 
-/// [`run_timed`] with a telemetry collector observing the run.
-///
-/// Pass [`Telemetry::disabled`] (what [`run_timed`] does) for zero
-/// overhead, or an enabled collector from [`Telemetry::for_run`] to
-/// record scheduler, adder, CRF and memory events plus interval metric
-/// snapshots. The collector is [`Telemetry::finalize`]d before return.
-///
-/// # Panics
-///
-/// Same conditions as [`run_timed`].
-pub fn run_timed_with_telemetry(
-    program: &Program,
-    launch: LaunchConfig,
-    global: &mut MemImage,
-    cfg: &GpuConfig,
-    tele: &mut Telemetry,
-) -> TimedOutput {
-    run_timed_with(
-        program,
-        launch,
-        global,
-        cfg,
-        RunOptions::with_telemetry(tele),
-    )
-}
-
 /// The unified timed entry point: one signature for plain and observed
 /// runs, both on the one serial driver. [`GpuConfig::event_driven`]
 /// selects the calendar fast path or the lockstep reference; results
 /// are bit-identical either way.
+///
+/// Pass [`RunOptions::default`] (what [`run_timed`] does) for zero
+/// overhead, or [`RunOptions::with_telemetry`] with an enabled collector
+/// from [`Telemetry::for_run`] to record scheduler, adder, CRF and
+/// memory events plus interval metric snapshots. The collector is
+/// [`Telemetry::finalize`]d before return.
 ///
 /// # Panics
 ///
@@ -199,9 +177,9 @@ fn next_cycle(now: u64, any_issued: bool, next_wake: u64) -> u64 {
 ///
 /// The calendar also owns the **memory side**: a per-partition cache of
 /// [`crate::memory::Partition::next_event`] — the earliest pending fill
-/// completion, refreshed on every retirement and drain, so it is exact
+/// completion, refreshed on every retirement and access, so it is exact
 /// at every decision point. Strictly before that cycle a
-/// partition's retire/drain/arbiter phases are provable no-ops (given
+/// partition's retire/access/arbiter phases are provable no-ops (given
 /// no new request, which the driver checks separately), so the driver
 /// skips them. Combined with the SM heap it yields the machine's global
 /// next event: when every SM is parked and the frozen wake aggregate is
@@ -239,8 +217,8 @@ struct WakeCalendar {
     wakeups: u64,
     /// Cached per-partition next events
     /// ([`crate::memory::Partition::next_event`]), exact at every
-    /// decision point: refreshed after each retirement
-    /// pass and each drain, the only operations that change a
+    /// decision point: refreshed after each retirement pass and each
+    /// round of accesses, the only operations that change a
     /// partition's fill set.
     mem_next: Vec<u64>,
     mem_skip_cycles: u64,
@@ -288,7 +266,7 @@ impl WakeCalendar {
     }
 
     /// Records a fully skipped memory round: `dt` clock cycles whose
-    /// retire/route/drain/view phases were provably no-ops (no partition
+    /// retire/access/view phases were provably no-ops (no partition
     /// due, no awake SM queued a request). Counted only while some fill
     /// is actually in flight, so the diagnostic measures deferred
     /// memory-side work rather than an idle memory system.
@@ -436,29 +414,20 @@ fn run_serial(
     let mut cores: Vec<SmCore> = (0..cfg.num_sms)
         .map(|i| SmCore::new(i as usize, cfg, slots))
         .collect();
-    let mut queues: Vec<RequestQueue> = (0..cfg.num_sms).map(|_| RequestQueue::new()).collect();
-    let mut hier = MemoryHierarchy::new(cfg);
-    let decoder = hier.decoder();
-    let mut lanes: Vec<PartitionLane> = (0..hier.num_partitions())
-        .map(|_| PartitionLane::new())
-        .collect();
-    let mut completions: Vec<Vec<Completion>> = (0..cfg.num_sms).map(|_| Vec::new()).collect();
+    let mut parts = Partition::build_all(cfg);
+    let mut touched = vec![false; parts.len()];
     // Seed each SM's view cache with the initial (all-free) MSHR views:
     // the memory calendar lets phase 3c skip refreshing them on cycles
     // where no partition state changed, so the cache must start valid.
     let mut views: Vec<Vec<MshrView>> = (0..cfg.num_sms as usize)
-        .map(|sm| {
-            let mut v = Vec::new();
-            hier.mshr_views(sm, &mut v);
-            v
-        })
+        .map(|sm| parts.iter().map(|p| p.mshr_view(sm)).collect())
         .collect();
 
     let mut act = ActivityCounters::default();
     let mut next_block = 0u32;
     let mut now = 0u64;
     let mut reports: Vec<CycleReport> = vec![CycleReport::default(); cfg.num_sms as usize];
-    let mut cal = WakeCalendar::new(cfg, tele, cfg.num_sms as usize, hier.num_partitions());
+    let mut cal = WakeCalendar::new(cfg, tele, cfg.num_sms as usize, parts.len());
     let mut due: Vec<usize> = Vec::new();
 
     loop {
@@ -487,11 +456,11 @@ fn run_serial(
         let mut busy_sms = 0u64;
         let mut awake_sms = 0u32;
         let mut any_queued = false;
-        for (sm, (core, queue)) in cores.iter_mut().zip(queues.iter_mut()).enumerate() {
+        for (sm, core) in cores.iter_mut().enumerate() {
             if !cal.is_asleep(sm) {
-                reports[sm] = core.step_cycle(now, program, launch, &mut *global, queue, tele);
+                reports[sm] = core.step_cycle(now, program, launch, &mut *global, tele);
                 awake_sms += 1;
-                any_queued |= !queue.is_empty();
+                any_queued |= core.has_requests();
             }
             let r = reports[sm];
             any_resident |= r.resident;
@@ -506,9 +475,9 @@ fn run_serial(
             break;
         }
 
-        // Phase 3: drain memory, finish, advance time. SM active/idle
-        // accounting covers the whole interval, not just the iteration,
-        // so fast-forwarding does not distort static energy.
+        // Phase 3: the memory round, completion, advance time. SM
+        // active/idle accounting covers the whole interval, not just the
+        // iteration, so fast-forwarding does not distort static energy.
         let mut next_now = next_cycle(now, any_issued, next_wake);
         if awake_sms == 0 && next_wake == u64::MAX {
             debug_assert!(!any_issued, "a sleeping SM cannot have issued");
@@ -516,11 +485,11 @@ fn run_serial(
         }
         let dt = next_now - now;
         // With the calendar on, the whole memory round — fill
-        // retirement, routing, drains and the MSHR view refresh — is
+        // retirement, accesses and the MSHR view refresh — is
         // skipped when no partition has a due fill and no awake SM
         // queued a request this cycle: partition state is then provably
         // untouched, so the cached views stay exact.
-        let mem_round = (0..lanes.len()).any(|p| cal.mem_due(p, now)) || any_queued;
+        let mem_round = (0..parts.len()).any(|p| cal.mem_due(p, now)) || any_queued;
         if mem_round {
             // 3a: retire landed fills. Retirement touches only the
             // owning SM's MSHR slices — no shared arbiter state — so
@@ -532,11 +501,10 @@ fn run_serial(
             // retirement would be a no-op anyway. The memory calendar
             // skips whole partitions the same way: a cached next event
             // beyond `now` proves every entry outlives this cycle.
-            for p in 0..lanes.len() {
+            for (p, part) in parts.iter_mut().enumerate() {
                 if !cal.mem_due(p, now) {
                     continue;
                 }
-                let part = hier.partition_mut(p);
                 for sm in 0..cores.len() {
                     if !cal.is_asleep(sm) {
                         part.retire_fills(sm, now);
@@ -547,27 +515,23 @@ fn run_serial(
                     cal.mem_refresh(p, next);
                 }
             }
-            // 3b: route every queue into the partition lanes (SM-index,
-            // issue order), drain the partitions in index order, and
-            // gather the results back per SM. Sleeping SMs queued
-            // nothing, and lanes with no queued requests have nothing
-            // to serve.
-            for (sm, queue) in queues.iter_mut().enumerate() {
-                if !cal.is_asleep(sm) {
-                    route_requests(queue, sm, &decoder, &mut lanes, &mut completions[sm]);
+            // 3b: access the partitions in (SM-index, issue) order,
+            // which is each partition's own arrival order; requests to
+            // different partitions share no state, so the interleaving
+            // across partitions is free. Sleeping SMs queued nothing.
+            // Only the partitions touched here changed their fill set.
+            if any_queued {
+                for (sm, core) in cores.iter_mut().enumerate() {
+                    if !cal.is_asleep(sm) {
+                        core.access_memory(&mut parts, now, &mut touched);
+                    }
                 }
-            }
-            for (p, lane) in lanes.iter_mut().enumerate() {
-                if !lane.reqs.is_empty() {
-                    let part = hier.partition_mut(p);
-                    lane.drain(part, now);
-                    if cal.enabled {
-                        let next = part.next_event();
-                        cal.mem_refresh(p, next);
+                for (p, part) in parts.iter().enumerate() {
+                    if std::mem::take(&mut touched[p]) && cal.enabled {
+                        cal.mem_refresh(p, part.next_event());
                     }
                 }
             }
-            gather_results(&mut lanes, &mut completions);
         } else {
             cal.note_round_skip(dt);
         }
@@ -580,9 +544,10 @@ fn run_serial(
                 continue;
             }
             if mem_round {
-                hier.mshr_views(sm, &mut views[sm]);
+                views[sm].clear();
+                views[sm].extend(parts.iter().map(|p| p.mshr_view(sm)));
             }
-            core.complete_memory(&mut completions[sm], &views[sm], now, dt, tele);
+            core.complete_memory(&views[sm], now, dt, tele);
             core.finish_cycle();
             core.commit_profile(dt, tele);
             let admissible = core.has_free_slot() && next_block < launch.grid_dim;

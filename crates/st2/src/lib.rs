@@ -49,9 +49,8 @@ pub mod prelude {
     pub use st2_kernels::{suite, BenchSuite, KernelSpec, Scale};
     pub use st2_power::{Component, EnergyModel, KernelEnergy, PowerModel, SiliconOracle};
     pub use st2_sim::{
-        run_functional, run_functional_with, run_functional_with_telemetry, run_timed,
-        run_timed_with, run_timed_with_telemetry, FunctionalOptions, GpuConfig, RunOptions,
-        SchedulerKind, TimedOutput, ValueTrace,
+        run_functional, run_functional_with, run_timed, run_timed_with, FunctionalOptions,
+        GpuConfig, RunOptions, SchedulerKind, TimedOutput, ValueTrace,
     };
     pub use st2_telemetry::{
         KernelProfile, ProfileCollector, StallReason, Telemetry, TelemetryConfig,

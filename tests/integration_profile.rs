@@ -8,7 +8,13 @@ use st2::prelude::*;
 fn profiled_run(spec: &KernelSpec, cfg: &GpuConfig) -> (TimedOutput, KernelProfile) {
     let mut tele = Telemetry::for_run(cfg.num_sms as usize, TelemetryConfig::default());
     let mut mem = spec.memory.clone();
-    let out = run_timed_with_telemetry(&spec.program, spec.launch, &mut mem, cfg, &mut tele);
+    let out = run_timed_with(
+        &spec.program,
+        spec.launch,
+        &mut mem,
+        cfg,
+        RunOptions::with_telemetry(&mut tele),
+    );
     spec.verify(&mem)
         .unwrap_or_else(|e| panic!("{} failed verification: {e}", spec.name));
     let profile = KernelProfile::capture(&tele, spec.name, Some(&spec.program));
