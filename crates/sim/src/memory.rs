@@ -651,7 +651,7 @@ mod tests {
     use crate::addrdec::AddressDecoder;
 
     /// The one partition of a single-partition config (every
-    /// `GpuConfig::scaled` harness below 20 SMs has one).
+    /// `GpuConfig::scaled` harness below 40 SMs has one).
     fn single_partition(cfg: &GpuConfig) -> Partition {
         let mut parts = Partition::build_all(cfg);
         assert_eq!(parts.len(), 1, "test expects a single-partition config");
