@@ -74,17 +74,6 @@ impl CarryRegisterFile {
         self.rows[Self::row_of(pc)]
     }
 
-    /// [`Self::read_row`] with an observer: the sink sees the row access.
-    #[must_use]
-    pub fn read_row_observed(
-        &mut self,
-        pc: u32,
-        sink: &mut dyn crate::sink::EventSink,
-    ) -> [u8; CRF_LANES] {
-        sink.crf_read(pc);
-        self.read_row(pc)
-    }
-
     /// Writes one lane's carry bits (bits above `CRF_BITS_PER_LANE` are
     /// discarded). Counts one write access.
     pub fn write(&mut self, pc: u32, lane: u32, carries: u64) {
@@ -103,20 +92,6 @@ impl CarryRegisterFile {
         for &(lane, carries) in updates {
             row[(lane & 31) as usize] = (carries & 0x7f) as u8;
         }
-    }
-
-    /// [`Self::write_back`] with an observer: the sink sees one row write
-    /// when `updates` is non-empty (mirroring the port accounting).
-    pub fn write_back_observed(
-        &mut self,
-        pc: u32,
-        updates: &[(u32, u64)],
-        sink: &mut dyn crate::sink::EventSink,
-    ) {
-        if !updates.is_empty() {
-            sink.crf_write(pc, false);
-        }
-        self.write_back(pc, updates);
     }
 
     /// Read accesses performed so far (for CRF energy accounting).

@@ -166,13 +166,6 @@ impl Predictor {
             }
         }
     }
-
-    /// Whether this predictor consults a history structure on each
-    /// prediction (for CRF read-energy accounting).
-    #[must_use]
-    pub fn reads_history(&self) -> bool {
-        matches!(self, Predictor::Valhalla { .. } | Predictor::Prev { .. })
-    }
 }
 
 /// CASA/VLSA-style lookahead: the carry out of boundary `j` is computed

@@ -19,9 +19,7 @@ use crate::event::OpContext;
 /// Observer for speculative-adder, history and CRF events.
 ///
 /// All methods have empty default bodies; implement the ones you need.
-/// Sinks must be [`Send`] so per-SM simulator state (which owns or
-/// borrows a sink) can move to worker threads in parallel runs.
-pub trait EventSink: Send {
+pub trait EventSink {
     /// One completed speculative add: its context, layout and outcome
     /// (including misprediction / recompute details).
     fn adder_op(&mut self, ctx: &OpContext, layout: SliceLayout, outcome: &AddOutcome) {

@@ -65,13 +65,6 @@ impl AdderStats {
         )
     }
 
-    /// Average slice computations per operation, including recomputes —
-    /// the quantity that scales dynamic adder energy.
-    #[must_use]
-    pub fn avg_slice_computations_per_op(&self) -> f64 {
-        ratio(self.slices_cycle1 + self.slices_recomputed, self.ops)
-    }
-
     /// Folds another statistics block into this one.
     pub fn merge(&mut self, other: &AdderStats) {
         self.ops += other.ops;

@@ -8,13 +8,14 @@
 //! shared-thread (Ltid) history mechanism depends on threads of different
 //! warps executing the same code close together in time.
 
+use crate::decode::Pool;
 use crate::exec::{step, ExecEnv, StepHooks, WarpCtx};
 use crate::stats::InstMix;
 use crate::timed::RunOptions;
 use crate::trace::ValueTrace;
 use st2_core::AddRecord;
-use st2_isa::{LaunchConfig, MemImage, Program};
-use st2_telemetry::{tele_span, Telemetry};
+use st2_isa::{Inst, LaunchConfig, MemImage, Program};
+use st2_telemetry::Telemetry;
 
 /// Options for a functional run.
 #[derive(Debug, Clone, Copy)]
@@ -158,7 +159,8 @@ pub fn run_functional_with(
                     if tele.is_enabled() {
                         // Logical time: the warp-instruction count.
                         let t = out.warp_instructions;
-                        tele.issue(0, t, wi as u32, info.pc, info.pool_code());
+                        let pool = Pool::of(program.fetch(info.pc).unwrap_or(&Inst::Exit));
+                        tele.issue(0, t, wi as u32, info.pc, pool as u8);
                         if info.barrier {
                             tele.barrier(0, t, wi as u32);
                         }
@@ -189,12 +191,11 @@ pub fn run_functional_with(
             runs.iter().all(|r| r.warps.iter().all(WarpCtx::is_done)),
             "batch finished with live warps (deadlocked barrier?)"
         );
-        tele_span!(
-            tele,
+        tele.span(
             0,
             "functional.batch",
             batch_start,
-            out.warp_instructions - batch_start
+            out.warp_instructions - batch_start,
         );
     }
     tele.finalize(out.warp_instructions);

@@ -155,22 +155,6 @@ pub struct StepInfo {
     pub barrier: bool,
 }
 
-impl StepInfo {
-    /// The functional-unit pool code used in telemetry issue events
-    /// (see `st2_telemetry::event::pool_name`), inferred from the
-    /// instruction class.
-    #[must_use]
-    pub fn pool_code(&self) -> u8 {
-        match self.class {
-            InstClass::FpuAdd | InstClass::FpuOther => 1,
-            InstClass::IntMulDiv | InstClass::FpMulDiv => 3,
-            InstClass::Sfu => 4,
-            InstClass::Mem => 5,
-            _ => 0,
-        }
-    }
-}
-
 /// Mutable execution environment shared by a block's warps.
 pub struct ExecEnv<'a> {
     /// The kernel.

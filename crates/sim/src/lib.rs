@@ -18,8 +18,10 @@
 //!   (the §VI performance-overhead study) and the per-component activity
 //!   counts the power model consumes (Fig. 7).
 //!
-//! The timed mode is layered: [`sm::SmCore`] is a self-contained per-SM
-//! core (scheduler, scoreboard, pipes, ST² speculation) that reads and
+//! The timed mode is layered: [`decode::DecodeTable`] classifies each
+//! instruction once per run (registers, FU pool, latency, interval);
+//! [`sm::SmCore`] is a self-contained per-SM core (scheduler,
+//! scoreboard, pipes, ST² speculation) that reads and
 //! writes the global [`st2_isa::MemImage`] directly and queues its cache
 //! transactions, each decoded once to its L2 partition by an
 //! [`addrdec::AddressDecoder`], on a request list it owns; [`timed`] is
@@ -36,6 +38,7 @@
 
 pub mod addrdec;
 pub mod config;
+pub mod decode;
 pub mod engine;
 pub mod exec;
 pub mod memory;

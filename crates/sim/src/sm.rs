@@ -26,6 +26,7 @@
 
 use crate::addrdec::AddressDecoder;
 use crate::config::{GpuConfig, SchedulerKind};
+use crate::decode::{DecodeTable, NUM_POOLS};
 use crate::exec::{step, ExecEnv, StepHooks, WarpAdderOp, WarpCtx};
 use crate::memory::{apply_access_counters, coalesce, AccessResult, MshrView, Partition};
 use crate::stats::ActivityCounters;
@@ -33,8 +34,8 @@ use st2_core::adder::execute_op_with_sink;
 use st2_core::event::OpContext;
 use st2_core::predictor::Predictor;
 use st2_core::sink::EventSink;
-use st2_core::SpeculationConfig;
-use st2_isa::{FloatWidth, Inst, IntOp, LaunchConfig, MemImage, Operand, Program, Reg, Space};
+use st2_core::{SpeculationConfig, WidthClass};
+use st2_isa::{LaunchConfig, MemImage, Program, Reg, Space};
 use st2_telemetry::{CycleProfile, MemTxn, StallReason, Telemetry};
 
 #[derive(Debug)]
@@ -130,123 +131,6 @@ impl SmSpec {
             sink.crf_write(op.pc, conflict);
         }
         any
-    }
-}
-
-/// Functional-unit pool count (dense [`Pool`] indices).
-const NUM_POOLS: usize = 6;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Pool {
-    Alu,
-    Fpu,
-    Dpu,
-    MulDiv,
-    Sfu,
-    Ldst,
-}
-
-impl Pool {
-    /// Dense index into the per-SM pipe table. Doubles as the pool code
-    /// used in telemetry issue events
-    /// (see `st2_telemetry::event::pool_name`).
-    fn index(self) -> usize {
-        match self {
-            Pool::Alu => 0,
-            Pool::Fpu => 1,
-            Pool::Dpu => 2,
-            Pool::MulDiv => 3,
-            Pool::Sfu => 4,
-            Pool::Ldst => 5,
-        }
-    }
-
-    fn telemetry_code(self) -> u8 {
-        self.index() as u8
-    }
-}
-
-/// Registers read and written by an instruction (for the scoreboard).
-fn inst_regs(inst: &Inst) -> (Vec<Reg>, Option<Reg>) {
-    let mut reads = Vec::with_capacity(3);
-    let mut push_op = |o: Operand| {
-        if let Operand::Reg(r) = o {
-            reads.push(r);
-        }
-    };
-    let write = match *inst {
-        Inst::Int { d, a, b, .. } | Inst::Float { d, a, b, .. } => {
-            push_op(a);
-            push_op(b);
-            Some(d)
-        }
-        Inst::Fma { d, a, b, c, .. } => {
-            push_op(a);
-            push_op(b);
-            push_op(c);
-            Some(d)
-        }
-        Inst::Sfu { d, a, .. } | Inst::Cvt { d, a, .. } | Inst::Mov { d, a } => {
-            push_op(a);
-            Some(d)
-        }
-        Inst::Ld { d, addr, .. } => {
-            reads.push(addr);
-            Some(d)
-        }
-        Inst::St { v, addr, .. } => {
-            push_op(v);
-            reads.push(addr);
-            None
-        }
-        Inst::Bra { cond, .. } => {
-            if let Some(c) = cond {
-                reads.push(c.reg);
-            }
-            None
-        }
-        Inst::Bar | Inst::Exit => None,
-        Inst::Special { d, .. } => Some(d),
-    };
-    (reads, write)
-}
-
-/// Whether an instruction issues a global-memory transaction (the ops
-/// gated by MSHR availability; shared-memory ops never leave the SM).
-fn is_global_mem(inst: &Inst) -> bool {
-    matches!(
-        inst,
-        Inst::Ld {
-            space: Space::Global,
-            ..
-        } | Inst::St {
-            space: Space::Global,
-            ..
-        }
-    )
-}
-
-fn pool_of(inst: &Inst) -> Pool {
-    match inst {
-        Inst::Int {
-            op: IntOp::Mul | IntOp::Div | IntOp::Rem,
-            ..
-        } => Pool::MulDiv,
-        Inst::Int { .. } => Pool::Alu,
-        Inst::Float { op, w, .. } => match (op, w) {
-            (st2_isa::FloatOp::Mul | st2_isa::FloatOp::Div, _) => Pool::MulDiv,
-            (_, FloatWidth::F32) => Pool::Fpu,
-            (_, FloatWidth::F64) => Pool::Dpu,
-        },
-        Inst::Fma {
-            w: FloatWidth::F32, ..
-        } => Pool::Fpu,
-        Inst::Fma {
-            w: FloatWidth::F64, ..
-        } => Pool::Dpu,
-        Inst::Sfu { .. } => Pool::Sfu,
-        Inst::Ld { .. } | Inst::St { .. } => Pool::Ldst,
-        _ => Pool::Alu,
     }
 }
 
@@ -489,11 +373,14 @@ impl SmCore {
     /// Schedules and issues up to `issue_width` warp instructions at
     /// cycle `now`, executing them functionally against `global` and
     /// queueing coalesced global-memory transactions on the core's
-    /// request list ([`SmCore::has_requests`]).
+    /// request list ([`SmCore::has_requests`]). `decoded` is `program`'s
+    /// decode table under this core's config: scheduling and issue
+    /// timing read it, and only execution fetches from `program`.
     pub fn step_cycle(
         &mut self,
         now: u64,
         program: &Program,
+        decoded: &DecodeTable,
         launch: LaunchConfig,
         global: &mut MemImage,
         tele: &mut Telemetry,
@@ -548,41 +435,38 @@ impl SmCore {
             if issued_this_sm >= cfg.issue_width && !profiling {
                 break;
             }
-            // Split-borrow dance: check conditions first. `reason` is the
-            // profiler's stall attribution (None when issuable),
-            // `consume_repair` flags a dependency stall reclassified as
-            // ST² mispredict repair, and `stable` is the earliest cycle
-            // this warp's classification could *change* while the SM is
-            // parked (`u64::MAX` = not before its wake): dependency
-            // stalls reclassify when the register clears, and repair
-            // stalls consume debt every profiled cycle so they pin the
-            // SM awake. Done/barrier warps need a sibling to issue
-            // (impossible while parked), throttle clears with the fill
-            // wake, and a pipe stall's transition *is* its wake time.
-            let (can_issue, wake, reason, consume_repair, stable) = {
+            // Split-borrow dance: check conditions first. `stall` is None
+            // when the warp can issue, else the profiler's stall
+            // attribution, the warp's wake cycle, and the earliest cycle
+            // its classification could *change* while the SM is parked
+            // (`u64::MAX` = not before its wake): dependency stalls
+            // reclassify when the register clears, and repair stalls
+            // (a dependency stall reclassified as ST² mispredict repair)
+            // consume debt every profiled cycle so they pin the SM awake.
+            // Done/barrier warps need a sibling to issue (impossible while
+            // parked), throttle clears with the fill wake, and a pipe
+            // stall's transition *is* its wake time.
+            let stall = {
                 let w = &self.warps[wi];
                 if w.ctx.is_done() {
-                    (false, u64::MAX, Some(StallReason::Done), false, u64::MAX)
+                    Some((StallReason::Done, u64::MAX, u64::MAX))
                 } else if w.waiting_barrier {
-                    (false, u64::MAX, Some(StallReason::Barrier), false, u64::MAX)
+                    Some((StallReason::Barrier, u64::MAX, u64::MAX))
                 } else {
-                    let pc = w.ctx.stack.pc();
-                    let inst = program.fetch(pc).copied().unwrap_or(Inst::Exit);
-                    let (reads, write) = inst_regs(&inst);
+                    let d = decoded.get(w.ctx.stack.pc());
                     // Track the first register attaining the max ready
                     // time: the binding dependency for stall attribution
                     // (`>` keeps the first among ties — deterministic).
                     let mut ready_at = now;
                     let mut dep_reg: Option<Reg> = None;
-                    for r in reads.iter().chain(write.iter()) {
+                    for r in d.deps() {
                         let t = w.reg_ready[usize::from(r.0)];
                         if t > ready_at {
                             ready_at = t;
                             dep_reg = Some(*r);
                         }
                     }
-                    let pool = pool_of(&inst);
-                    let pipe_free = self.pipes[pool.index()]
+                    let pipe_free = self.pipes[d.pool.index()]
                         .iter()
                         .copied()
                         .min()
@@ -592,53 +476,37 @@ impl SmCore {
                     // subsystem back-pressures the LDST pipe until a
                     // fill retires (conservative — the access might
                     // route elsewhere — but cheap and deterministic).
-                    let throttled = is_global_mem(&inst) && self.mem_credit.contains(&0);
+                    let throttled = d.global_mem && self.mem_credit.contains(&0);
                     let at = ready_at.max(pipe_free);
                     if at <= now && !throttled {
-                        (true, at, None, false, u64::MAX)
+                        None
                     } else if ready_at > now {
                         // Register dependency binds (checked before the
                         // pipe: the operand must exist before structural
                         // hazards matter).
-                        let on_load = dep_reg
-                            .map(|r| w.mem_dep[usize::from(r.0)])
-                            .unwrap_or(false);
-                        if on_load {
-                            (false, at, Some(StallReason::MemPending), false, ready_at)
+                        Some(if dep_reg.is_some_and(|r| w.mem_dep[usize::from(r.0)]) {
+                            (StallReason::MemPending, at, ready_at)
                         } else if w.repair_debt > 0 {
-                            (false, at, Some(StallReason::AdderRepair), true, now + 1)
+                            (StallReason::AdderRepair, at, now + 1)
                         } else {
-                            (false, at, Some(StallReason::Scoreboard), false, ready_at)
-                        }
+                            (StallReason::Scoreboard, at, ready_at)
+                        })
                     } else if throttled {
-                        (
-                            false,
-                            self.mem_wake,
-                            Some(StallReason::MemThrottle),
-                            false,
-                            u64::MAX,
-                        )
+                        Some((StallReason::MemThrottle, self.mem_wake, u64::MAX))
                     } else {
-                        (
-                            false,
-                            at,
-                            Some(StallReason::pipe(pool.index())),
-                            false,
-                            u64::MAX,
-                        )
+                        Some((StallReason::pipe(d.pool.index()), at, u64::MAX))
                     }
                 }
             };
-            if !can_issue {
+            if let Some((reason, wake, stable)) = stall {
                 if wake != u64::MAX {
                     report.next_wake = report.next_wake.min(wake.max(now + 1));
                 }
                 if profiling {
                     self.stall_stable_until = self.stall_stable_until.min(stable);
-                    if consume_repair {
+                    if reason == StallReason::AdderRepair {
                         self.warps[wi].repair_debt -= 1;
                     }
-                    let reason = reason.unwrap_or(StallReason::Scoreboard);
                     self.stall_scratch.push(reason);
                     if reason != StallReason::Done {
                         let pc = self.warps[wi].ctx.stack.pc();
@@ -662,8 +530,7 @@ impl SmCore {
             // Issue: execute functionally and account timing.
             let slot = self.warps[wi].slot;
             let pc = self.warps[wi].ctx.stack.pc();
-            let fetched = program.fetch(pc).copied();
-            if fetched.is_none() {
+            if !decoded.contains(pc) {
                 // Out-of-range PC masked to a clean exit: legal for the
                 // fallthrough off the last instruction, but worth
                 // counting — a nonzero total on a well-formed program
@@ -673,9 +540,7 @@ impl SmCore {
                     self.cycle_profile.fetch_oob += 1;
                 }
             }
-            let inst = fetched.unwrap_or(Inst::Exit);
-            let pool = pool_of(&inst);
-            let (_, write) = inst_regs(&inst);
+            let d = *decoded.get(pc);
             let info = {
                 let shared = &mut self.slots[slot]
                     .as_mut()
@@ -693,61 +558,23 @@ impl SmCore {
 
             let act = &mut self.act;
             act.mix.add(info.class, u64::from(info.active_threads));
-            if matches!(inst, Inst::Fma { .. }) {
+            if d.fma {
                 act.fma_ops += u64::from(info.active_threads);
             }
             act.warp_instructions += 1;
             act.regfile_reads += info.reg_reads;
             act.regfile_writes += info.reg_writes;
             if let Some(op) = &info.adder {
-                match op.width {
-                    st2_core::WidthClass::Int64 => {
-                        act.adder_int_ops += op.lanes.len() as u64;
-                    }
-                    st2_core::WidthClass::Mant24 => {
-                        act.adder_f32_ops += op.lanes.len() as u64;
-                    }
-                    st2_core::WidthClass::Mant53 => {
-                        act.adder_f64_ops += op.lanes.len() as u64;
-                    }
-                }
+                *match op.width {
+                    WidthClass::Int64 => &mut act.adder_int_ops,
+                    WidthClass::Mant24 => &mut act.adder_f32_ops,
+                    WidthClass::Mant53 => &mut act.adder_f64_ops,
+                } += op.lanes.len() as u64;
             }
 
             // Timing.
-            let mut interval = 1u64;
-            let mut latency = u64::from(match pool {
-                Pool::Alu => cfg.alu_latency,
-                Pool::Fpu => cfg.fpu_latency,
-                Pool::Dpu => cfg.dpu_latency,
-                Pool::MulDiv => match inst {
-                    Inst::Int {
-                        op: IntOp::Div | IntOp::Rem,
-                        ..
-                    }
-                    | Inst::Float {
-                        op: st2_isa::FloatOp::Div,
-                        ..
-                    } => cfg.div_latency,
-                    _ => cfg.mul_latency,
-                },
-                Pool::Sfu => cfg.sfu_latency,
-                Pool::Ldst => 0, // set below (shared) or at completion (global)
-            });
-            if pool == Pool::Sfu {
-                interval = u64::from(cfg.sfu_interval);
-            }
-            if matches!(
-                inst,
-                Inst::Int {
-                    op: IntOp::Div | IntOp::Rem,
-                    ..
-                } | Inst::Float {
-                    op: st2_isa::FloatOp::Div,
-                    ..
-                }
-            ) {
-                interval = 4;
-            }
+            let mut interval = u64::from(d.interval);
+            let mut latency = u64::from(d.latency);
 
             // ST² speculation: a misprediction adds one recompute cycle
             // to both occupancy (stall) and result latency.
@@ -799,7 +626,7 @@ impl SmCore {
                         }
                         self.pending.push(PendingAccess {
                             warp: wi,
-                            dest: if m.store { None } else { write },
+                            dest: if m.store { None } else { d.write },
                             ready_at: now,
                         });
                         interval = segs.len() as u64;
@@ -815,7 +642,7 @@ impl SmCore {
             }
 
             // Occupy the pipe.
-            let pipe = self.pipes[pool.index()]
+            let pipe = self.pipes[d.pool.index()]
                 .iter_mut()
                 .min()
                 .expect("pools are non-empty");
@@ -823,13 +650,13 @@ impl SmCore {
 
             // Scoreboard. Global-load destinations are parked until the
             // completion phase supplies the hierarchy latency.
-            if let Some(d) = write {
-                self.warps[wi].reg_ready[usize::from(d.0)] = if deferred_load {
+            if let Some(r) = d.write {
+                self.warps[wi].reg_ready[usize::from(r.0)] = if deferred_load {
                     u64::MAX
                 } else {
                     now + latency.max(1)
                 };
-                self.warps[wi].mem_dep[usize::from(d.0)] = deferred_load;
+                self.warps[wi].mem_dep[usize::from(r.0)] = deferred_load;
             }
 
             // Barrier bookkeeping.
@@ -841,7 +668,7 @@ impl SmCore {
                 tele.barrier(self.index, now, wi as u32);
             }
 
-            tele.issue(self.index, now, wi as u32, pc, pool.telemetry_code());
+            tele.issue(self.index, now, wi as u32, pc, d.pool as u8);
             if profiling {
                 self.cycle_profile.issued += 1;
                 self.cycle_profile.eligible_warps += 1;
@@ -1068,7 +895,7 @@ mod tests {
 
     #[test]
     fn predicated_off_mem_ops_are_not_modeled() {
-        use st2_isa::KernelBuilder;
+        use st2_isa::{KernelBuilder, Operand};
         // One op of each kind in both address spaces.
         let mut k = KernelBuilder::new("masked_mem");
         let zero = k.reg();
@@ -1082,6 +909,7 @@ mod tests {
         let p = k.finish();
         let launch = LaunchConfig::new(1, 32);
         let cfg = GpuConfig::scaled(1);
+        let decoded = DecodeTable::new(&p, &cfg);
         let mut core = SmCore::new(0, &cfg, 1);
         assert!(core.admit_block(0, &p, launch));
         // Empty the warp's SIMT mask: the warp still steps through every
@@ -1098,7 +926,7 @@ mod tests {
         // so run a fixed window that covers all five instructions, with
         // the driver's memory round after every step.
         for now in 0..50u64 {
-            core.step_cycle(now, &p, launch, &mut g, &mut tele);
+            core.step_cycle(now, &p, &decoded, launch, &mut g, &mut tele);
             assert!(!core.has_requests(), "zero-lane op queued a transaction");
             core.access_memory(&mut parts, now, &mut touched);
             let views: Vec<MshrView> = parts.iter().map(|part| part.mshr_view(0)).collect();

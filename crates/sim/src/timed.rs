@@ -37,6 +37,7 @@
 //! back-pressures the issue stage.
 
 use crate::config::GpuConfig;
+use crate::decode::DecodeTable;
 use crate::memory::{MshrView, Partition};
 use crate::sm::{CycleReport, SmCore};
 use crate::stats::ActivityCounters;
@@ -411,6 +412,7 @@ fn run_serial(
     tele: &mut Telemetry,
 ) -> TimedOutput {
     let slots = block_slots(cfg, launch);
+    let decoded = DecodeTable::new(program, cfg);
     let mut cores: Vec<SmCore> = (0..cfg.num_sms)
         .map(|i| SmCore::new(i as usize, cfg, slots))
         .collect();
@@ -458,7 +460,7 @@ fn run_serial(
         let mut any_queued = false;
         for (sm, core) in cores.iter_mut().enumerate() {
             if !cal.is_asleep(sm) {
-                reports[sm] = core.step_cycle(now, program, launch, &mut *global, tele);
+                reports[sm] = core.step_cycle(now, program, &decoded, launch, &mut *global, tele);
                 awake_sms += 1;
                 any_queued |= core.has_requests();
             }

@@ -77,7 +77,8 @@ pub enum EventKind {
 }
 
 /// Human-readable name of a functional-unit pool index as encoded in
-/// [`EventKind::SchedIssue::pool`].
+/// [`EventKind::SchedIssue::pool`]: the discriminants of the simulator's
+/// `st2_sim::decode::Pool`.
 #[must_use]
 pub fn pool_name(pool: u8) -> &'static str {
     match pool {

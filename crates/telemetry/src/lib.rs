@@ -4,9 +4,7 @@
 //!
 //! 1. **Events** ([`event`]) — cycle-stamped scheduler / adder / CRF /
 //!    memory events in a bounded per-SM ring buffer. Constant memory,
-//!    allocation-free on the hot path, compile-time removable via the
-//!    `compile-disabled` feature and the [`tele_event!`] / [`tele_span!`]
-//!    macros.
+//!    allocation-free on the hot path.
 //! 2. **Metrics** ([`metrics`]) — named counters, gauges and
 //!    log2-bucketed histograms, plus periodic interval snapshots so
 //!    quantities like adder prediction accuracy and IPC can be plotted
@@ -295,15 +293,8 @@ impl Telemetry {
     }
 
     /// An enabled collector for a run on `num_sms` SMs.
-    ///
-    /// With the crate feature `compile-disabled` set this returns a
-    /// disabled instance, making instrumentation vanish without source
-    /// changes.
     #[must_use]
     pub fn for_run(num_sms: usize, config: TelemetryConfig) -> Self {
-        if cfg!(feature = "compile-disabled") {
-            return Self::disabled();
-        }
         let mut registry = MetricsRegistry::new();
         let ids = HotIds {
             warp_instructions: registry.counter("sched.warp_instructions"),
@@ -399,7 +390,7 @@ impl Telemetry {
     }
 
     /// Records a raw event into an SM's ring. Prefer the typed helpers;
-    /// this is the escape hatch the [`tele_event!`] macro uses.
+    /// this is the escape hatch for events they do not cover.
     pub fn record_event(&mut self, sm: usize, cycle: u64, kind: EventKind) {
         if !self.enabled {
             return;
@@ -879,56 +870,6 @@ impl EventSink for Telemetry {
     }
 }
 
-/// Records an event unless telemetry is compiled out.
-///
-/// `tele_event!(tele, sm, cycle, kind)` expands to a guarded
-/// [`Telemetry::record_event`] call — or to nothing with the
-/// `compile-disabled` feature, removing even the branch.
-#[macro_export]
-#[cfg(not(feature = "compile-disabled"))]
-macro_rules! tele_event {
-    ($tele:expr, $sm:expr, $cycle:expr, $kind:expr) => {
-        if $tele.is_enabled() {
-            $tele.record_event($sm, $cycle, $kind);
-        }
-    };
-}
-
-/// Compiled-out form of [`tele_event!`].
-#[macro_export]
-#[cfg(feature = "compile-disabled")]
-macro_rules! tele_event {
-    ($tele:expr, $sm:expr, $cycle:expr, $kind:expr) => {{
-        // Never-called closure: keeps the arguments "used" without
-        // evaluating them.
-        let _ = || (&$tele, $sm, $cycle, $kind);
-    }};
-}
-
-/// Records a named span unless telemetry is compiled out.
-///
-/// `tele_span!(tele, sm, name, start, duration)`.
-#[macro_export]
-#[cfg(not(feature = "compile-disabled"))]
-macro_rules! tele_span {
-    ($tele:expr, $sm:expr, $name:expr, $start:expr, $dur:expr) => {
-        if $tele.is_enabled() {
-            $tele.span($sm, $name, $start, $dur);
-        }
-    };
-}
-
-/// Compiled-out form of [`tele_span!`].
-#[macro_export]
-#[cfg(feature = "compile-disabled")]
-macro_rules! tele_span {
-    ($tele:expr, $sm:expr, $name:expr, $start:expr, $dur:expr) => {{
-        // Never-called closure: keeps the arguments "used" without
-        // evaluating them.
-        let _ = || (&$tele, $sm, $name, $start, $dur);
-    }};
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1115,18 +1056,14 @@ mod tests {
     #[test]
     fn macros_compile_and_guard() {
         let mut t = Telemetry::disabled();
-        tele_event!(t, 0, 5, EventKind::Barrier { warp: 1 });
-        tele_span!(t, 0, "functional.batch", 0, 10);
+        t.record_event(0, 5, EventKind::Barrier { warp: 1 });
+        t.span(0, "functional.batch", 0, 10);
         assert!(t.rings().is_empty());
 
         let mut t = Telemetry::for_run(1, TelemetryConfig::default());
-        tele_event!(t, 0, 5, EventKind::Barrier { warp: 1 });
-        tele_span!(t, 0, "functional.batch", 0, 10);
-        if cfg!(feature = "compile-disabled") {
-            assert!(!t.is_enabled());
-        } else {
-            assert_eq!(t.rings()[0].len(), 2);
-            assert_eq!(t.span_name(0), "functional.batch");
-        }
+        t.record_event(0, 5, EventKind::Barrier { warp: 1 });
+        t.span(0, "functional.batch", 0, 10);
+        assert_eq!(t.rings()[0].len(), 2);
+        assert_eq!(t.span_name(0), "functional.batch");
     }
 }

@@ -181,3 +181,74 @@ proptest! {
         }
     }
 }
+
+/// Issue pools per PC, read back from the telemetry event rings.
+fn issue_pools(
+    tele: &Telemetry,
+) -> std::collections::BTreeMap<u32, std::collections::BTreeSet<u8>> {
+    let mut pools = std::collections::BTreeMap::<u32, std::collections::BTreeSet<u8>>::new();
+    for ring in tele.rings() {
+        assert_eq!(ring.dropped(), 0, "ring too small for the kernel");
+        for e in ring.iter_in_order() {
+            if let st2::telemetry::event::EventKind::SchedIssue { pc, pool, .. } = e.kind {
+                pools.entry(pc).or_default().insert(pool);
+            }
+        }
+    }
+    pools
+}
+
+#[test]
+fn functional_and_timed_engines_label_issue_pools_alike() {
+    // FP32 add (fpu), FP64 add and FP64 FMA (dpu), plus ALU moves.
+    let mut k = KernelBuilder::new("fp_pools");
+    let x = k.reg();
+    k.mov(x, Operand::Imm(3));
+    let f = k.reg();
+    k.fadd(f, x.into(), x.into());
+    let d = k.reg();
+    k.dadd(d, x.into(), x.into());
+    let m = k.reg();
+    k.dmad(m, d.into(), x.into(), f.into());
+    let p = k.finish();
+    let launch = LaunchConfig::new(2, 64);
+
+    let mut ftele = Telemetry::for_run(1, TelemetryConfig::default());
+    run_functional_with(
+        &p,
+        launch,
+        &mut MemImage::new(64),
+        &FunctionalOptions::default(),
+        RunOptions::with_telemetry(&mut ftele),
+    );
+    let cfg = GpuConfig::scaled(1);
+    let mut ttele = Telemetry::for_run(1, TelemetryConfig::default());
+    run_timed_with(
+        &p,
+        launch,
+        &mut MemImage::new(64),
+        &cfg,
+        RunOptions::with_telemetry(&mut ttele),
+    );
+
+    let functional = issue_pools(&ftele);
+    let timed = issue_pools(&ttele);
+    assert_eq!(
+        functional, timed,
+        "per-PC issue pools differ between engines"
+    );
+    let names: Vec<Vec<&str>> = timed
+        .values()
+        .map(|s| {
+            s.iter()
+                .map(|&c| st2::telemetry::event::pool_name(c))
+                .collect()
+        })
+        .collect();
+    // mov, fadd, dadd, dmad, then the trailing exit.
+    assert_eq!(
+        &names[..4],
+        [vec!["alu"], vec!["fpu"], vec!["dpu"], vec!["dpu"]],
+        "{timed:?}"
+    );
+}
