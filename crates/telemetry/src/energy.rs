@@ -2,8 +2,8 @@
 //!
 //! The collector records *what happened* per interval — DRAM fills, L2
 //! slot grants, MSHR merges, crossbar hops, write-allocates, issued
-//! instructions, SM-resident cycles — as pure integer counts (see
-//! [`crate::ENERGY_SERIES_COLUMNS`]). This module prices those events:
+//! instructions, SM-resident cycles — as pure integer counts in typed
+//! [`EnergyPoint`] rows. This module prices those rows field by field:
 //! an [`EnergyWeights`] table (joules per event, produced by the
 //! calibrated `st2-power` model) turns the timeline into per-interval
 //! power and a run-level [`EnergySummary`]. Keeping joules out of the
@@ -11,19 +11,7 @@
 //! event-driven and lockstep runs agree bit for bit.
 
 use crate::metrics::IntervalSeries;
-
-/// Column indices of [`crate::ENERGY_SERIES_COLUMNS`].
-const DRAM_FILLS: usize = 0;
-const L2_GRANTS: usize = 1;
-const MSHR_MERGES: usize = 2;
-const XBAR_HOPS: usize = 3;
-const WRITE_ALLOCS: usize = 4;
-const INSTRUCTIONS: usize = 5;
-const SM_CYCLES: usize = 6;
-
-/// Column indices of [`crate::MEM_SERIES_COLUMNS`] consumed here.
-const MEM_BW_WAIT: usize = 4;
-const MEM_XBAR_WAIT: usize = 5;
+use crate::timeline::{EnergyPoint, MemPoint};
 
 /// Joules charged per energy-timeline event. Produced by the calibrated
 /// power model (`st2_power::EnergyModel::interval_weights`); the
@@ -64,17 +52,41 @@ impl EnergyWeights {
     /// crossbar) from the memory timeline; `dt` the interval length in
     /// device cycles.
     #[must_use]
-    fn split(&self, values: &[f64], waits: f64, dt: u64) -> ComponentJoules {
+    fn split(&self, e: &EnergyPoint, waits: u64, dt: u64) -> ComponentJoules {
         ComponentJoules {
-            dram: values[DRAM_FILLS] * self.dram_fill_j + dt as f64 * self.dram_cycle_j,
-            l2: values[L2_GRANTS] * self.l2_grant_j,
-            mshr: values[MSHR_MERGES] * self.mshr_merge_j,
-            xbar: values[XBAR_HOPS] * self.xbar_hop_j,
-            write_alloc: values[WRITE_ALLOCS] * self.write_alloc_j,
-            issue: values[INSTRUCTIONS] * self.instruction_j,
-            static_: values[SM_CYCLES] * self.sm_cycle_j,
-            queue: waits * self.queue_wait_j,
+            dram: e.dram_fills as f64 * self.dram_fill_j + dt as f64 * self.dram_cycle_j,
+            l2: e.l2_grants as f64 * self.l2_grant_j,
+            mshr: e.mshr_merges as f64 * self.mshr_merge_j,
+            xbar: e.xbar_hops as f64 * self.xbar_hop_j,
+            write_alloc: e.write_allocs as f64 * self.write_alloc_j,
+            issue: e.instructions as f64 * self.instruction_j,
+            static_: e.sm_cycles as f64 * self.sm_cycle_j,
+            queue: waits as f64 * self.queue_wait_j,
         }
+    }
+
+    /// Prices every interval of the energy timeline: `(end cycle,
+    /// length in cycles, joules by component)`. The memory timeline
+    /// snapshots at the same boundaries, so rows pair by index (the
+    /// memory row supplies the interval's queued cycles); missing
+    /// memory rows price queue energy as zero.
+    fn intervals<'a>(
+        &'a self,
+        energy: &'a [EnergyPoint],
+        mem: &'a [MemPoint],
+    ) -> impl Iterator<Item = (u64, u64, ComponentJoules)> + 'a {
+        let starts = std::iter::once(0).chain(energy.iter().map(|p| p.cycle));
+        energy
+            .iter()
+            .zip(starts)
+            .enumerate()
+            .map(move |(i, (p, start))| {
+                let dt = p.cycle.saturating_sub(start);
+                let waits = mem
+                    .get(i)
+                    .map_or(0, |m| m.bw_wait_cycles + m.xbar_wait_cycles);
+                (p.cycle, dt, self.split(p, waits, dt))
+            })
     }
 
     /// Seconds spanned by `dt` device cycles.
@@ -142,28 +154,14 @@ pub struct EnergySummary {
 }
 
 impl EnergySummary {
-    /// Rolls the energy-event timeline up into a run summary.
-    ///
-    /// `energy` and `mem` are the collector's two interval series; they
-    /// snapshot at the same boundaries, so rows pair by index (the
-    /// memory row supplies the interval's queued cycles). Missing mem
-    /// rows price queue energy as zero.
+    /// Rolls the energy-event timeline up into a run summary, pairing
+    /// each energy row with the memory row of the same interval.
     #[must_use]
-    pub fn from_series(energy: &IntervalSeries, mem: &IntervalSeries, w: &EnergyWeights) -> Self {
+    pub fn from_rows(energy: &[EnergyPoint], mem: &[MemPoint], w: &EnergyWeights) -> Self {
         let mut sum = ComponentJoules::default();
-        let mut instructions = 0.0;
         let mut peak_power_w = 0.0;
         let mut peak_power_cycle = 0;
-        let mut prev_cycle = 0u64;
-        for (i, p) in energy.points().iter().enumerate() {
-            let dt = p.cycle.saturating_sub(prev_cycle);
-            prev_cycle = p.cycle;
-            let waits = mem
-                .points()
-                .get(i)
-                .map_or(0.0, |m| m.values[MEM_BW_WAIT] + m.values[MEM_XBAR_WAIT]);
-            let e = w.split(&p.values, waits, dt);
-            instructions += p.values[INSTRUCTIONS];
+        for (cycle, dt, e) in w.intervals(energy, mem) {
             sum.dram += e.dram;
             sum.l2 += e.l2;
             sum.mshr += e.mshr;
@@ -176,10 +174,11 @@ impl EnergySummary {
                 let watts = e.total() / w.seconds(dt);
                 if watts > peak_power_w {
                     peak_power_w = watts;
-                    peak_power_cycle = p.cycle;
+                    peak_power_cycle = cycle;
                 }
             }
         }
+        let instructions: u64 = energy.iter().map(|p| p.instructions).sum();
         let total = sum.total();
         EnergySummary {
             total_nj: total * 1e9,
@@ -193,8 +192,8 @@ impl EnergySummary {
             queue_nj: sum.queue * 1e9,
             peak_power_w,
             peak_power_cycle,
-            energy_per_instruction_pj: if instructions > 0.0 {
-                total * 1e12 / instructions
+            energy_per_instruction_pj: if instructions > 0 {
+                total * 1e12 / instructions as f64
             } else {
                 0.0
             },
@@ -209,32 +208,17 @@ pub const POWER_SERIES_COLUMNS: [&str; 3] = ["power.total_w", "power.dram_w", "p
 /// energy-event timeline, for the profile-report power track and the
 /// Chrome-trace counter lane. Columns: [`POWER_SERIES_COLUMNS`].
 #[must_use]
-pub fn power_series(
-    energy: &IntervalSeries,
-    mem: &IntervalSeries,
-    w: &EnergyWeights,
-) -> IntervalSeries {
+pub fn power_series(energy: &[EnergyPoint], mem: &[MemPoint], w: &EnergyWeights) -> IntervalSeries {
     let mut out = IntervalSeries::new(
         POWER_SERIES_COLUMNS
             .iter()
             .map(|s| (*s).to_string())
             .collect(),
     );
-    let mut prev_cycle = 0u64;
-    for (i, p) in energy.points().iter().enumerate() {
-        let dt = p.cycle.saturating_sub(prev_cycle);
-        prev_cycle = p.cycle;
-        if dt == 0 {
-            continue;
-        }
-        let waits = mem
-            .points()
-            .get(i)
-            .map_or(0.0, |m| m.values[MEM_BW_WAIT] + m.values[MEM_XBAR_WAIT]);
-        let e = w.split(&p.values, waits, dt);
+    for (cycle, dt, e) in w.intervals(energy, mem).filter(|&(_, dt, _)| dt > 0) {
         let secs = w.seconds(dt);
         out.push(
-            p.cycle,
+            cycle,
             vec![e.total() / secs, e.dram / secs, e.static_ / secs],
         );
     }
@@ -244,6 +228,7 @@ pub fn power_series(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timeline::IntervalRow;
 
     fn weights() -> EnergyWeights {
         EnergyWeights {
@@ -260,38 +245,29 @@ mod tests {
         }
     }
 
-    fn series(rows: &[(u64, [f64; 7])]) -> IntervalSeries {
-        let mut s = IntervalSeries::new(
-            crate::ENERGY_SERIES_COLUMNS
-                .iter()
-                .map(|c| (*c).to_string())
-                .collect(),
-        );
-        for (cycle, v) in rows {
-            s.push(*cycle, v.to_vec());
-        }
-        s
+    fn series(rows: &[(u64, [u64; 7])]) -> Vec<EnergyPoint> {
+        rows.iter()
+            .map(|(cycle, v)| EnergyPoint::from_values(*cycle, v))
+            .collect()
     }
 
-    fn mem_series(rows: &[(u64, f64, f64)]) -> IntervalSeries {
-        let mut s = IntervalSeries::new(
-            crate::MEM_SERIES_COLUMNS
-                .iter()
-                .map(|c| (*c).to_string())
-                .collect(),
-        );
-        for (cycle, bw, xbar) in rows {
-            s.push(*cycle, vec![0.0, 0.0, 0.0, 0.0, *bw, *xbar]);
-        }
-        s
+    fn mem_series(rows: &[(u64, u64, u64)]) -> Vec<MemPoint> {
+        rows.iter()
+            .map(|&(cycle, bw, xbar)| MemPoint {
+                cycle,
+                bw_wait_cycles: bw,
+                xbar_wait_cycles: xbar,
+                ..MemPoint::default()
+            })
+            .collect()
     }
 
     #[test]
     fn summary_prices_every_component() {
-        let e = series(&[(100, [2.0, 5.0, 3.0, 4.0, 1.0, 1000.0, 400.0])]);
-        let m = mem_series(&[(100, 30.0, 20.0)]);
+        let e = series(&[(100, [2, 5, 3, 4, 1, 1000, 400])]);
+        let m = mem_series(&[(100, 30, 20)]);
         let w = weights();
-        let s = EnergySummary::from_series(&e, &m, &w);
+        let s = EnergySummary::from_rows(&e, &m, &w);
         let expect_dram = 2.0 * 140e-12 + 100.0 * 0.3e-12;
         assert!((s.dram_nj - expect_dram * 1e9).abs() < 1e-12);
         assert!((s.l2_nj - 5.0 * 8e-3).abs() < 1e-12);
@@ -317,12 +293,12 @@ mod tests {
     #[test]
     fn peak_interval_wins() {
         let e = series(&[
-            (100, [0.0, 0.0, 0.0, 0.0, 0.0, 10.0, 100.0]),
-            (200, [50.0, 0.0, 0.0, 0.0, 0.0, 10.0, 100.0]),
-            (300, [0.0, 0.0, 0.0, 0.0, 0.0, 10.0, 100.0]),
+            (100, [0, 0, 0, 0, 0, 10, 100]),
+            (200, [50, 0, 0, 0, 0, 10, 100]),
+            (300, [0, 0, 0, 0, 0, 10, 100]),
         ]);
-        let m = mem_series(&[(100, 0.0, 0.0), (200, 0.0, 0.0), (300, 0.0, 0.0)]);
-        let s = EnergySummary::from_series(&e, &m, &weights());
+        let m = mem_series(&[(100, 0, 0), (200, 0, 0), (300, 0, 0)]);
+        let s = EnergySummary::from_rows(&e, &m, &weights());
         assert_eq!(s.peak_power_cycle, 200, "DRAM burst interval is hottest");
         let pw = power_series(&e, &m, &weights());
         assert_eq!(pw.points().len(), 3);
@@ -335,16 +311,16 @@ mod tests {
     fn summary_is_additive_over_merged_series() {
         // Two event sets vs their pointwise sum: pricing is linear in
         // the event counts, so summaries must agree.
-        let a = series(&[(100, [1.0, 2.0, 1.0, 0.0, 1.0, 500.0, 100.0])]);
-        let b = series(&[(100, [3.0, 4.0, 0.0, 2.0, 0.0, 700.0, 100.0])]);
-        let merged = series(&[(100, [4.0, 6.0, 1.0, 2.0, 1.0, 1200.0, 200.0])]);
-        let ma = mem_series(&[(100, 10.0, 0.0)]);
-        let mb = mem_series(&[(100, 5.0, 3.0)]);
-        let mm = mem_series(&[(100, 15.0, 3.0)]);
+        let a = series(&[(100, [1, 2, 1, 0, 1, 500, 100])]);
+        let b = series(&[(100, [3, 4, 0, 2, 0, 700, 100])]);
+        let merged = series(&[(100, [4, 6, 1, 2, 1, 1200, 200])]);
+        let ma = mem_series(&[(100, 10, 0)]);
+        let mb = mem_series(&[(100, 5, 3)]);
+        let mm = mem_series(&[(100, 15, 3)]);
         let w = weights();
-        let s = EnergySummary::from_series(&merged, &mm, &w);
-        let sa = EnergySummary::from_series(&a, &ma, &w);
-        let sb = EnergySummary::from_series(&b, &mb, &w);
+        let s = EnergySummary::from_rows(&merged, &mm, &w);
+        let sa = EnergySummary::from_rows(&a, &ma, &w);
+        let sb = EnergySummary::from_rows(&b, &mb, &w);
         // DRAM background prices dt once per merged row, so compare
         // against a+b minus the double-counted background.
         let bg_nj = 100.0 * 0.3e-12 * 1e9;

@@ -33,7 +33,9 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use crate::json::{self, Value, Writer};
-use crate::metrics::{Histogram, IntervalSeries};
+use crate::metrics::Histogram;
+use crate::timeline::IntervalRow;
+pub use crate::timeline::{EnergyPoint, MemPoint, OccPoint};
 use crate::Telemetry;
 
 /// Number of [`StallReason`] values (dense indices `0..NUM_STALL_REASONS`).
@@ -270,24 +272,6 @@ impl PcCounters {
     }
 }
 
-/// Occupancy-timeline column names (raw extensive sums per interval;
-/// ratios are computed at render time so the rows stay exact).
-pub const PROFILE_SERIES_COLUMNS: [&str; 4] = [
-    "occ.warp_cycles",
-    "occ.eligible_cycles",
-    "occ.issued_slots",
-    "occ.total_slots",
-];
-
-/// Cumulative occupancy totals (for interval deltas).
-#[derive(Debug, Clone, Copy, Default)]
-struct OccTotals {
-    warp_cycles: u64,
-    eligible_cycles: u64,
-    issued_slots: u64,
-    total_slots: u64,
-}
-
 /// PC key used for hotspot entries evicted by the table bound.
 pub const PC_OVERFLOW: u32 = u32::MAX;
 
@@ -300,9 +284,10 @@ pub struct ProfileCollector {
     /// Counters folded into the [`PC_OVERFLOW`] bucket once the table is
     /// full (keeps slot totals exact even when PCs are dropped).
     overflow_events: u64,
-    series: IntervalSeries,
-    cum: OccTotals,
-    base: OccTotals,
+    series: Vec<OccPoint>,
+    /// Running occupancy totals, and their value at the last snapshot.
+    cum: OccPoint,
+    base: OccPoint,
 }
 
 impl ProfileCollector {
@@ -315,14 +300,9 @@ impl ProfileCollector {
             pcs: HashMap::new(),
             pc_capacity: pc_capacity.max(1),
             overflow_events: 0,
-            series: IntervalSeries::new(
-                PROFILE_SERIES_COLUMNS
-                    .iter()
-                    .map(|s| (*s).to_string())
-                    .collect(),
-            ),
-            cum: OccTotals::default(),
-            base: OccTotals::default(),
+            series: Vec::new(),
+            cum: OccPoint::default(),
+            base: OccPoint::default(),
         }
     }
 
@@ -376,15 +356,8 @@ impl ProfileCollector {
     /// snapshot). Driven by [`Telemetry::advance`] at the same boundaries
     /// as the main metric series.
     pub fn snapshot(&mut self, cycle: u64) {
-        self.series.push(
-            cycle,
-            vec![
-                (self.cum.warp_cycles - self.base.warp_cycles) as f64,
-                (self.cum.eligible_cycles - self.base.eligible_cycles) as f64,
-                (self.cum.issued_slots - self.base.issued_slots) as f64,
-                (self.cum.total_slots - self.base.total_slots) as f64,
-            ],
-        );
+        self.cum.cycle = cycle;
+        self.series.push(self.cum.since(&self.base));
         self.base = self.cum;
     }
 
@@ -410,10 +383,9 @@ impl ProfileCollector {
         self.overflow_events
     }
 
-    /// The occupancy interval series (columns:
-    /// [`PROFILE_SERIES_COLUMNS`]).
+    /// The occupancy timeline, interval order.
     #[must_use]
-    pub fn series(&self) -> &IntervalSeries {
+    pub fn series(&self) -> &[OccPoint] {
         &self.series
     }
 
@@ -464,22 +436,6 @@ impl PcRow {
     pub fn stalled(&self) -> u64 {
         self.stalls.iter().sum()
     }
-}
-
-/// One occupancy-timeline interval of a captured [`KernelProfile`] (raw
-/// extensive sums over the interval).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OccPoint {
-    /// Cycle at the end of the interval.
-    pub cycle: u64,
-    /// Σ resident warps × cycles over the interval.
-    pub warp_cycles: u64,
-    /// Σ issue-ready warps × cycles over the interval.
-    pub eligible_cycles: u64,
-    /// Issue slots that issued during the interval.
-    pub issued_slots: u64,
-    /// Issue slots owned during the interval.
-    pub total_slots: u64,
 }
 
 /// Memory-subsystem totals captured from the telemetry registry: the
@@ -551,52 +507,6 @@ impl MemSummary {
         let max = self.part_fills.iter().copied().max().unwrap_or(0);
         max as f64 / mean
     }
-}
-
-/// One memory-timeline interval of a captured [`KernelProfile`] (raw
-/// extensive sums over the interval, mirroring
-/// [`crate::MEM_SERIES_COLUMNS`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemPoint {
-    /// Cycle at the end of the interval.
-    pub cycle: u64,
-    /// Σ occupied MSHR entries × cycles over the interval.
-    pub mshr_occupied_cycles: u64,
-    /// Sum of per-SM peak MSHR occupancy over the interval.
-    pub mshr_peak: u64,
-    /// L2 requests (fresh L1 misses) during the interval.
-    pub l2_requests: u64,
-    /// DRAM line fills during the interval.
-    pub dram_requests: u64,
-    /// Bandwidth-slot wait cycles accrued during the interval.
-    pub bw_wait_cycles: u64,
-    /// Crossbar injection-port wait cycles accrued during the interval
-    /// (0 in documents predating version 3).
-    pub xbar_wait_cycles: u64,
-}
-
-/// One energy-timeline interval of a captured [`KernelProfile`]: raw
-/// integer event counts over the interval, mirroring
-/// [`crate::ENERGY_SERIES_COLUMNS`]. Joules are applied at report time
-/// by [`crate::energy::EnergyWeights`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EnergyPoint {
-    /// Cycle at the end of the interval.
-    pub cycle: u64,
-    /// DRAM line fills during the interval.
-    pub dram_fills: u64,
-    /// Fresh fills granted an L2 request slot.
-    pub l2_grants: u64,
-    /// Misses merged into in-flight MSHR fills.
-    pub mshr_merges: u64,
-    /// Fills that crossed the SM↔partition crossbar.
-    pub xbar_hops: u64,
-    /// Store misses that installed a line (write-allocates).
-    pub write_allocs: u64,
-    /// Warp instructions issued during the interval.
-    pub instructions: u64,
-    /// SM-resident clock ticks (awake or parked) during the interval.
-    pub sm_cycles: u64,
 }
 
 /// A portable per-kernel profile snapshot: the nvprof-style report data,
@@ -674,47 +584,6 @@ impl KernelProfile {
                 }
             })
             .collect();
-        let occupancy = collector
-            .series()
-            .points()
-            .iter()
-            .map(|p| OccPoint {
-                cycle: p.cycle,
-                warp_cycles: p.values[0] as u64,
-                eligible_cycles: p.values[1] as u64,
-                issued_slots: p.values[2] as u64,
-                total_slots: p.values[3] as u64,
-            })
-            .collect();
-        let mem_timeline = tele
-            .mem_series()
-            .points()
-            .iter()
-            .map(|p| MemPoint {
-                cycle: p.cycle,
-                mshr_occupied_cycles: p.values[0] as u64,
-                mshr_peak: p.values[1] as u64,
-                l2_requests: p.values[2] as u64,
-                dram_requests: p.values[3] as u64,
-                bw_wait_cycles: p.values[4] as u64,
-                xbar_wait_cycles: p.values.get(5).copied().unwrap_or(0.0) as u64,
-            })
-            .collect();
-        let energy_timeline = tele
-            .energy_series()
-            .points()
-            .iter()
-            .map(|p| EnergyPoint {
-                cycle: p.cycle,
-                dram_fills: p.values[0] as u64,
-                l2_grants: p.values[1] as u64,
-                mshr_merges: p.values[2] as u64,
-                xbar_hops: p.values[3] as u64,
-                write_allocs: p.values[4] as u64,
-                instructions: p.values[5] as u64,
-                sm_cycles: p.values[6] as u64,
-            })
-            .collect();
         let counter = |name: &str| tele.registry().counter_by_name(name).unwrap_or(0);
         let fill = tele.registry().histogram_by_name("mem.fill_latency");
         KernelProfile {
@@ -740,9 +609,9 @@ impl KernelProfile {
             },
             sms: collector.sms().to_vec(),
             pcs,
-            occupancy,
-            mem_timeline,
-            energy_timeline,
+            occupancy: collector.series().to_vec(),
+            mem_timeline: tele.mem_series().to_vec(),
+            energy_timeline: tele.energy_series().to_vec(),
             energy: None,
         }
     }
@@ -753,9 +622,10 @@ impl KernelProfile {
     /// determinism comparisons are unaffected by when (or whether) this
     /// runs.
     pub fn attach_energy(&mut self, weights: &crate::energy::EnergyWeights) {
-        let (energy, mem) = self.interval_series();
-        self.energy = Some(crate::energy::EnergySummary::from_series(
-            &energy, &mem, weights,
+        self.energy = Some(crate::energy::EnergySummary::from_rows(
+            &self.energy_timeline,
+            &self.mem_timeline,
+            weights,
         ));
     }
 
@@ -764,56 +634,10 @@ impl KernelProfile {
     /// intervals are skipped.
     #[must_use]
     pub fn power_timeline(&self, weights: &crate::energy::EnergyWeights) -> Vec<(u64, f64)> {
-        let (energy, mem) = self.interval_series();
-        let power = crate::energy::power_series(&energy, &mem, weights);
+        let power = crate::energy::power_series(&self.energy_timeline, &self.mem_timeline, weights);
         power
             .column(crate::energy::POWER_SERIES_COLUMNS[0])
             .unwrap_or_default()
-    }
-
-    /// Rebuilds the collector's (energy, memory) interval series from
-    /// the stored point vectors, for pricing.
-    fn interval_series(&self) -> (crate::IntervalSeries, crate::IntervalSeries) {
-        let mut energy = crate::IntervalSeries::new(
-            crate::ENERGY_SERIES_COLUMNS
-                .iter()
-                .map(|s| (*s).to_string())
-                .collect(),
-        );
-        for p in &self.energy_timeline {
-            energy.push(
-                p.cycle,
-                vec![
-                    p.dram_fills as f64,
-                    p.l2_grants as f64,
-                    p.mshr_merges as f64,
-                    p.xbar_hops as f64,
-                    p.write_allocs as f64,
-                    p.instructions as f64,
-                    p.sm_cycles as f64,
-                ],
-            );
-        }
-        let mut mem = crate::IntervalSeries::new(
-            crate::MEM_SERIES_COLUMNS
-                .iter()
-                .map(|s| (*s).to_string())
-                .collect(),
-        );
-        for p in &self.mem_timeline {
-            mem.push(
-                p.cycle,
-                vec![
-                    p.mshr_occupied_cycles as f64,
-                    p.mshr_peak as f64,
-                    p.l2_requests as f64,
-                    p.dram_requests as f64,
-                    p.bw_wait_cycles as f64,
-                    p.xbar_wait_cycles as f64,
-                ],
-            );
-        }
-        (energy, mem)
     }
 
     /// Device-wide slot totals (summed SM profiles; `cycles` is the max).
@@ -897,47 +721,9 @@ impl KernelProfile {
             w.end_object();
         }
         w.end_array();
-        w.key("occupancy");
-        w.begin_array();
-        for p in &self.occupancy {
-            w.begin_object();
-            w.field_u64("cycle", p.cycle);
-            w.field_u64("warp_cycles", p.warp_cycles);
-            w.field_u64("eligible_cycles", p.eligible_cycles);
-            w.field_u64("issued_slots", p.issued_slots);
-            w.field_u64("total_slots", p.total_slots);
-            w.end_object();
-        }
-        w.end_array();
-        w.key("mem_timeline");
-        w.begin_array();
-        for p in &self.mem_timeline {
-            w.begin_object();
-            w.field_u64("cycle", p.cycle);
-            w.field_u64("mshr_occupied_cycles", p.mshr_occupied_cycles);
-            w.field_u64("mshr_peak", p.mshr_peak);
-            w.field_u64("l2_requests", p.l2_requests);
-            w.field_u64("dram_requests", p.dram_requests);
-            w.field_u64("bw_wait_cycles", p.bw_wait_cycles);
-            w.field_u64("xbar_wait_cycles", p.xbar_wait_cycles);
-            w.end_object();
-        }
-        w.end_array();
-        w.key("energy_timeline");
-        w.begin_array();
-        for p in &self.energy_timeline {
-            w.begin_object();
-            w.field_u64("cycle", p.cycle);
-            w.field_u64("dram_fills", p.dram_fills);
-            w.field_u64("l2_grants", p.l2_grants);
-            w.field_u64("mshr_merges", p.mshr_merges);
-            w.field_u64("xbar_hops", p.xbar_hops);
-            w.field_u64("write_allocs", p.write_allocs);
-            w.field_u64("instructions", p.instructions);
-            w.field_u64("sm_cycles", p.sm_cycles);
-            w.end_object();
-        }
-        w.end_array();
+        write_rows(&mut w, "occupancy", &self.occupancy);
+        write_rows(&mut w, "mem_timeline", &self.mem_timeline);
+        write_rows(&mut w, "energy_timeline", &self.energy_timeline);
         if let Some(e) = &self.energy {
             w.key("energy");
             w.begin_object();
@@ -1015,20 +801,12 @@ impl KernelProfile {
                 mispredicts: u(p, "mispredicts")?,
             });
         }
-        let mut occupancy = Vec::new();
-        for p in v
-            .get("occupancy")
-            .and_then(Value::as_array)
-            .ok_or("missing occupancy array")?
-        {
-            occupancy.push(OccPoint {
-                cycle: u(p, "cycle")?,
-                warp_cycles: u(p, "warp_cycles")?,
-                eligible_cycles: u(p, "eligible_cycles")?,
-                issued_slots: u(p, "issued_slots")?,
-                total_slots: u(p, "total_slots")?,
-            });
-        }
+        let occupancy = read_rows(
+            v.get("occupancy")
+                .and_then(Value::as_array)
+                .ok_or("missing occupancy array")?,
+            &[],
+        )?;
         // Absent in schema-1 documents written before the MSHR model;
         // default to zeros for backward compatibility. The version-2
         // latency/occupancy fields likewise default to 0 when parsing a
@@ -1066,41 +844,12 @@ impl KernelProfile {
             .get("version")
             .and_then(Value::as_f64)
             .map_or(1, |f| f as u32);
-        let mut mem_timeline = Vec::new();
-        if let Some(rows) = v.get("mem_timeline").and_then(Value::as_array) {
-            for p in rows {
-                mem_timeline.push(MemPoint {
-                    cycle: u(p, "cycle")?,
-                    mshr_occupied_cycles: u(p, "mshr_occupied_cycles")?,
-                    mshr_peak: u(p, "mshr_peak")?,
-                    l2_requests: u(p, "l2_requests")?,
-                    dram_requests: u(p, "dram_requests")?,
-                    bw_wait_cycles: u(p, "bw_wait_cycles")?,
-                    // Optional: version-2 documents predate the crossbar.
-                    xbar_wait_cycles: p
-                        .get("xbar_wait_cycles")
-                        .and_then(Value::as_f64)
-                        .map_or(0, |f| f as u64),
-                });
-            }
-        }
+        let rows = |key: &str| v.get(key).and_then(Value::as_array).unwrap_or_default();
+        // Version-2 rows predate the crossbar's wait column.
+        let mem_timeline = read_rows(rows("mem_timeline"), &["xbar_wait_cycles"])?;
         // Optional from version 5 on: the energy timeline and the
         // priced summary. Older documents parse with them empty/None.
-        let mut energy_timeline = Vec::new();
-        if let Some(rows) = v.get("energy_timeline").and_then(Value::as_array) {
-            for p in rows {
-                energy_timeline.push(EnergyPoint {
-                    cycle: u(p, "cycle")?,
-                    dram_fills: u(p, "dram_fills")?,
-                    l2_grants: u(p, "l2_grants")?,
-                    mshr_merges: u(p, "mshr_merges")?,
-                    xbar_hops: u(p, "xbar_hops")?,
-                    write_allocs: u(p, "write_allocs")?,
-                    instructions: u(p, "instructions")?,
-                    sm_cycles: u(p, "sm_cycles")?,
-                });
-            }
-        }
+        let energy_timeline = read_rows(rows("energy_timeline"), &[])?;
         let energy = v.get("energy").map(|e| {
             let f = |key: &str| e.get(key).and_then(Value::as_f64).unwrap_or(0.0);
             crate::energy::EnergySummary {
@@ -1283,6 +1032,42 @@ impl KernelProfile {
         }
         out
     }
+}
+
+/// Writes `rows` under `key` as an array of `{"cycle", <fields>...}`
+/// objects.
+fn write_rows<R: IntervalRow>(w: &mut Writer, key: &str, rows: &[R]) {
+    w.key(key);
+    w.begin_array();
+    for r in rows {
+        w.begin_object();
+        w.field_u64("cycle", r.cycle());
+        for (name, v) in R::FIELDS.iter().zip(r.values()) {
+            w.field_u64(name, v);
+        }
+        w.end_object();
+    }
+    w.end_array();
+}
+
+/// Parses [`write_rows`] output. Every field is required except those
+/// named in `optional`, which read as 0 when absent.
+fn read_rows<R: IntervalRow>(rows: &[Value], optional: &[&str]) -> Result<Vec<R>, String> {
+    rows.iter()
+        .map(|p| {
+            let field = |key: &str| match p.get(key).and_then(Value::as_f64) {
+                Some(f) => Ok(f as u64),
+                None if optional.contains(&key) => Ok(0),
+                None => Err(format!("missing numeric field {key:?}")),
+            };
+            let cycle = field("cycle")?;
+            let values = R::FIELDS
+                .iter()
+                .map(|k| field(k))
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok(R::from_values(cycle, &values))
+        })
+        .collect()
 }
 
 fn write_stalls(w: &mut Writer, stalls: &[u64; NUM_STALL_REASONS]) {

@@ -352,8 +352,8 @@ fn event_driven_fast_forward_is_bit_identical() {
                     "{ctx}: accuracy/IPC series"
                 );
                 assert_eq!(
-                    tele.mem_series().points(),
-                    ref_tele.mem_series().points(),
+                    tele.mem_series(),
+                    ref_tele.mem_series(),
                     "{ctx}: memory timeline"
                 );
                 assert_eq!(
@@ -366,8 +366,8 @@ fn event_driven_fast_forward_is_bit_identical() {
                 // SM-resident cycles included — must not see the
                 // calendar either.
                 assert_eq!(
-                    tele.energy_series().points(),
-                    ref_tele.energy_series().points(),
+                    tele.energy_series(),
+                    ref_tele.energy_series(),
                     "{ctx}: energy timeline"
                 );
                 assert_eq!(
@@ -667,8 +667,8 @@ fn memory_telemetry_is_bit_identical_across_threads() {
                 "{ctx}: latency histograms"
             );
             assert_eq!(
-                s.tele.mem_series().points(),
-                p.tele.mem_series().points(),
+                s.tele.mem_series(),
+                p.tele.mem_series(),
                 "{ctx}: memory timeline"
             );
             assert_eq!(
@@ -677,8 +677,8 @@ fn memory_telemetry_is_bit_identical_across_threads() {
                 "{ctx}: MSHR occupancy integral"
             );
             assert_eq!(
-                s.tele.energy_series().points(),
-                p.tele.energy_series().points(),
+                s.tele.energy_series(),
+                p.tele.energy_series(),
                 "{ctx}: energy timeline"
             );
         }

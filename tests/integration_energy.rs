@@ -9,7 +9,7 @@
 //! not tolerances.
 
 use st2::prelude::*;
-use st2::telemetry::{EnergySummary, EnergyWeights};
+use st2::telemetry::{EnergyPoint, EnergySummary, EnergyWeights};
 
 fn spec_by_name(name: &str) -> KernelSpec {
     suite(Scale::Test)
@@ -42,15 +42,11 @@ fn observe(spec: &KernelSpec, cfg: &GpuConfig) -> (TimedOutput, Telemetry) {
     (out, tele)
 }
 
-/// Sums one energy-series column over all intervals. The per-interval
-/// values are integer-valued deltas stored as exact f64s, so the sum is
-/// exact and must land back on the run's cumulative counter.
-fn column_total(tele: &Telemetry, col: usize) -> u64 {
-    tele.energy_series()
-        .points()
-        .iter()
-        .map(|p| p.values[col] as u64)
-        .sum()
+/// Sums one energy-timeline field over all intervals. The per-interval
+/// values are integer deltas, so the sum must land back on the run's
+/// cumulative counter.
+fn field_total(tele: &Telemetry, field: fn(&EnergyPoint) -> u64) -> u64 {
+    tele.energy_series().iter().map(field).sum()
 }
 
 #[test]
@@ -69,8 +65,8 @@ fn energy_timeline_is_bit_identical_across_the_matrix() {
                 let (_, ref_tele) = observe(&spec, &base.with_event_driven(false));
                 let (_, tele) = observe(&spec, &base);
                 assert_eq!(
-                    tele.energy_series().points(),
-                    ref_tele.energy_series().points(),
+                    tele.energy_series(),
+                    ref_tele.energy_series(),
                     "{name}: energy timeline diverges at parts={parts} st2={st2_on}"
                 );
             }
@@ -93,26 +89,38 @@ fn energy_timeline_conserves_run_totals() {
                 let (out, tele) = observe(&spec, &cfg);
                 let a = &out.activity;
                 let ctx = format!("{name} parts={parts} ed={ed}");
-                assert_eq!(column_total(&tele, 0), a.dram_accesses, "{ctx}: DRAM fills");
-                assert_eq!(column_total(&tele, 2), a.mshr_merges, "{ctx}: MSHR merges");
-                assert_eq!(column_total(&tele, 3), a.xbar_hops, "{ctx}: crossbar hops");
                 assert_eq!(
-                    column_total(&tele, 4),
+                    field_total(&tele, |p| p.dram_fills),
+                    a.dram_accesses,
+                    "{ctx}: DRAM fills"
+                );
+                assert_eq!(
+                    field_total(&tele, |p| p.mshr_merges),
+                    a.mshr_merges,
+                    "{ctx}: MSHR merges"
+                );
+                assert_eq!(
+                    field_total(&tele, |p| p.xbar_hops),
+                    a.xbar_hops,
+                    "{ctx}: crossbar hops"
+                );
+                assert_eq!(
+                    field_total(&tele, |p| p.write_allocs),
                     a.write_allocates,
                     "{ctx}: write-allocates"
                 );
                 assert_eq!(
-                    column_total(&tele, 5),
+                    field_total(&tele, |p| p.instructions),
                     a.warp_instructions,
                     "{ctx}: instructions"
                 );
                 assert_eq!(
-                    column_total(&tele, 6),
+                    field_total(&tele, |p| p.sm_cycles),
                     u64::from(cfg.num_sms) * out.cycles,
                     "{ctx}: SM-resident cycles must cover every SM x every cycle"
                 );
                 assert_eq!(
-                    column_total(&tele, 6),
+                    field_total(&tele, |p| p.sm_cycles),
                     tele.energy_sm_cycles(),
                     "{ctx}: timeline drops SM cycles against the integral"
                 );
