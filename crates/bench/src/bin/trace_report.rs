@@ -7,10 +7,12 @@
 //! * per-kernel text summary on stdout
 //!
 //! ```text
-//! cargo run --bin trace_report -- pathfinder [out_dir]
+//! cargo run --bin trace_report -- pathfinder [out_dir] --scale test
 //! ```
 //!
-//! Run with no arguments to list the available kernels.
+//! The shared harness flags pick the problem size (`--scale`), the GPU
+//! (`--gpu` and the memory-subsystem overrides) and the driver; ST² is
+//! always on. Run with no arguments to list the available kernels.
 
 use std::process::ExitCode;
 
@@ -21,7 +23,11 @@ use st2_bench::BenchArgs;
 fn main() -> ExitCode {
     let args = BenchArgs::parse();
     let Some(name) = args.rest.first() else {
-        eprintln!("usage: trace_report <kernel> [out_dir]");
+        eprintln!(
+            "usage: trace_report <kernel> [out_dir] {}",
+            st2_bench::USAGE
+        );
+        // Kernel names do not depend on the scale: list the cheapest.
         eprintln!("available kernels:");
         for spec in suite(Scale::Test) {
             eprintln!("  {}", spec.name);
@@ -30,13 +36,13 @@ fn main() -> ExitCode {
     };
     let out_dir = args.rest.get(1).cloned().unwrap_or_else(|| ".".to_string());
 
-    let specs = suite(Scale::Test);
+    let specs = suite(args.scale);
     let Some(spec) = specs.into_iter().find(|s| s.name == name.as_str()) else {
         eprintln!("unknown kernel {name:?}; run with no arguments for the list");
         return ExitCode::FAILURE;
     };
 
-    let cfg = GpuConfig::scaled(2).with_st2();
+    let cfg = args.gpu().with_st2();
     let mut tele = Telemetry::for_run(cfg.num_sms as usize, TelemetryConfig::default());
     let mut mem = spec.memory.clone();
     let out = run_timed_with(

@@ -132,7 +132,9 @@ impl BenchArgs {
     /// # Errors
     ///
     /// Returns a message naming the flag when a flag is missing its
-    /// value, a value does not parse, or a `--flag` is unknown.
+    /// value, a value does not parse, or a `--flag` is unknown, and
+    /// [`GpuConfig::validate`]'s reason when the resulting machine is
+    /// not one the simulator can run.
     pub fn from_tokens(iter: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut args = BenchArgs::default();
         let mut it = iter.into_iter();
@@ -180,6 +182,7 @@ impl BenchArgs {
                 _ => args.rest.push(tok),
             }
         }
+        args.gpu().validate()?;
         Ok(args)
     }
 
@@ -465,6 +468,11 @@ mod tests {
             (&["--xbar-queue"], "--xbar-queue requires a value"),
             (&["--threads", "2"], "unknown flag --threads"),
             (&["pathfinder", "--frobnicate"], "unknown flag --frobnicate"),
+            (&["--mshr-entries", "0"], "mshr_entries must be at least 1"),
+            (
+                &["--l2-partitions", "4", "--l2-bw", "1"],
+                "l2_bw (1) must be at least l2_partitions (4)",
+            ),
         ] {
             let err =
                 BenchArgs::from_tokens(toks.iter().map(ToString::to_string)).expect_err(needle);
